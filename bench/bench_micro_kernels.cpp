@@ -248,7 +248,7 @@ void BM_LocalSearch(benchmark::State& state) {
     benchmark::DoNotOptimize(s);
   }
 }
-BENCHMARK(BM_LocalSearch)->Arg(50)->Arg(200);
+BENCHMARK(BM_LocalSearch)->Arg(50)->Arg(200)->Arg(1000)->Arg(5000);
 
 void BM_BudgetTreeOps(benchmark::State& state) {
   const Time horizon = 100000;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -90,6 +91,39 @@ LocalSearchStats localSearch(const EnhancedGraph& gc,
     return a < b;
   });
 
+  // Exact don't-look bits. A probe of v reads only v's move window (its
+  // own start plus its Gc neighbours' starts/ends) and the integer
+  // timeline over [start − µ, end + µ); a task whose flag is clear found
+  // no improving move and nothing it reads has changed since, so the
+  // round skips it. Every task starts dirty.
+  std::vector<unsigned char> dirty(static_cast<std::size_t>(gc.numNodes()),
+                                   1);
+  const std::span<const Time> lens = gc.lens();
+  const std::vector<Time>& starts = schedule.starts();
+  // After v moved from `from` to `to`, flag its Gc neighbours and every
+  // task whose probe range meets the changed span [min, max + len). Chain
+  // edges keep starts and ends non-decreasing along each procOrder, so on
+  // every processor those tasks are one run found by two binary searches.
+  auto markMoved = [&](TaskId v, Time from, Time to) {
+    for (const TaskId u : gc.preds(v)) dirty[static_cast<std::size_t>(u)] = 1;
+    for (const TaskId u : gc.succs(v)) dirty[static_cast<std::size_t>(u)] = 1;
+    const Time a = std::min(from, to);
+    const Time b = std::max(from, to) + lens[static_cast<std::size_t>(v)];
+    for (const ProcId p : procs) {
+      const std::span<const TaskId> order = gc.procOrder(p);
+      const auto first =
+          std::partition_point(order.begin(), order.end(), [&](TaskId u) {
+            const auto i = static_cast<std::size_t>(u);
+            return starts[i] + lens[i] + opts.radius <= a;
+          });
+      const auto last = std::partition_point(first, order.end(), [&](TaskId u) {
+        return starts[static_cast<std::size_t>(u)] - opts.radius < b;
+      });
+      for (auto it = first; it != last; ++it)
+        dirty[static_cast<std::size_t>(*it)] = 1;
+    }
+  };
+
   while (stats.rounds < opts.maxRounds) {
     ++stats.rounds; // counts executed passes, including the final gainless one
     // One span per improvement pass; the batched-probe volume rides along
@@ -101,6 +135,9 @@ LocalSearchStats localSearch(const EnhancedGraph& gc,
       for (const TaskId v : gc.procOrder(p)) {
         const Time len = gc.len(v);
         if (len == 0) continue; // zero-length nodes draw no power
+        unsigned char& isDirty = dirty[static_cast<std::size_t>(v)];
+        if (isDirty == 0) continue; // a re-probe would find no move again
+        isDirty = 0;
         const Power w = gc.workPower(p);
         const Time cur = schedule.start(v);
         const auto [lo, hi] =
@@ -135,12 +172,14 @@ LocalSearchStats localSearch(const EnhancedGraph& gc,
         if (bestDelta < 0) {
           timeline.applyMove(cur, cur + len, bestTarget, bestTarget + len, w);
           schedule.setStart(v, bestTarget);
+          markMoved(v, cur, bestTarget);
           ++stats.movesApplied;
           improved = true;
         }
       }
     }
     round.arg("probes", probes);
+    stats.probes += static_cast<std::size_t>(probes);
     if (!improved) break;
   }
   stats.finalCost = timeline.totalCost();

@@ -14,9 +14,17 @@
 /// first); on each processor the tasks are scanned left to right, and each
 /// task tries to move its start time up to `radius` (the paper's µ = 10)
 /// units left or right, earliest candidate first. The first legal move with
-/// a strictly positive gain is applied. Rounds repeat until one full round
-/// brings no gain. Because only improving moves are accepted, the final
-/// cost never exceeds the initial one.
+/// a strictly positive gain is applied. Because only improving moves are
+/// accepted, the final cost never exceeds the initial one.
+///
+/// Rounds repeat until a round applies no move, but a round probes only
+/// the *dirty* tasks: every task starts dirty, a probe clears its task's
+/// flag, and an applied move flags every task whose probe could
+/// now answer differently — the mover's Gc neighbours and every task whose
+/// probe range [start − µ, end + µ) meets the timeline span the move
+/// changed. A clean task would find no improving move again, so skipping
+/// it leaves every move, round count and schedule identical to re-probing
+/// all tasks each round (see DESIGN.md, "Dirty-set local search").
 
 namespace cawo {
 
@@ -53,6 +61,11 @@ struct LocalSearchOptions {
 struct LocalSearchStats {
   std::size_t rounds = 0;
   std::size_t movesApplied = 0;
+  /// Candidate targets scored across all rounds (the sum of the
+  /// `ls.round` spans' `probes` args); clean tasks add nothing. Like
+  /// `rounds` and `movesApplied`, it describes the winning climb when
+  /// restarts run.
+  std::size_t probes = 0;
   Cost initialCost = 0;
   Cost finalCost = 0;
   std::size_t restartsRun = 1; ///< climbs performed (1 for plain runs)

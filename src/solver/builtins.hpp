@@ -13,6 +13,7 @@
 
 namespace cawo {
 
+struct CaWoParams;
 struct VariantRunStats;
 
 /// "ASAP" and the 16 CaWoSched variants (src/core).
@@ -20,10 +21,16 @@ void registerCoreSolvers(SolverRegistry& registry);
 
 /// Translate a CaWoSched variant run's phase diagnostics into the shared
 /// solver stats vocabulary (greedy-us, ls-us, ls-rounds, ls-moves,
-/// ls-initial-cost, ls-final-cost) — used by the core adapters and the
-/// GreenHEFT second pass alike, so campaign records read one schema.
+/// ls-probes, ls-initial-cost, ls-final-cost) — used by the core adapters
+/// and the GreenHEFT second pass alike, so campaign records read one
+/// schema.
 void fillPhaseStats(const VariantRunStats& run,
                     std::map<std::string, std::int64_t>& stats);
+
+/// The `block-size` (1..INT_MAX) and `ls-radius` (>= 0) options shared by
+/// the CaWoSched adapters and the GreenHEFT second pass, validated when the
+/// options are read; every other field keeps its default.
+CaWoParams tuningFromOptions(const SolverOptions& options);
 
 /// The two-pass "greenheft" pipeline (src/heft), alpha-parameterisable as
 /// "greenheft[alpha]".

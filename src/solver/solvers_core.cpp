@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include "core/asap.hpp"
@@ -21,12 +22,13 @@
 ///   ls-us            local-search wall time, microseconds (LS variants)
 ///   ls-rounds        local-search rounds (including the final gainless one)
 ///   ls-moves         improving moves applied
+///   ls-probes        candidate targets scored (clean tasks are skipped)
 ///   ls-initial-cost  carbon cost entering local search
 ///   ls-final-cost    carbon cost leaving local search
 ///
 /// CaWoSched options (all optional):
-///   block-size   int   refinement block size k (paper: 3)
-///   ls-radius    int   local-search radius µ   (paper: 10)
+///   block-size   int   refinement block size k (paper: 3; 1..INT_MAX)
+///   ls-radius    int   local-search radius µ   (paper: 10; ≥ 0)
 ///   threads      int   intra-solve worker threads (0 = hardware, ≥ 0;
 ///                      never changes the schedule — see DESIGN.md,
 ///                      "Parallel solve core")
@@ -36,13 +38,22 @@
 
 namespace cawo {
 
+CaWoParams tuningFromOptions(const SolverOptions& options) {
+  CaWoParams params;
+  const std::int64_t blockSize = options.getInt("block-size", params.blockSize);
+  CAWO_REQUIRE(blockSize >= 1 && blockSize <= std::numeric_limits<int>::max(),
+               "CaWoSched option \"block-size\" must be in [1, INT_MAX]");
+  params.blockSize = static_cast<int>(blockSize);
+  params.lsRadius = options.getInt("ls-radius", params.lsRadius);
+  CAWO_REQUIRE(params.lsRadius >= 0,
+               "CaWoSched option \"ls-radius\" must be >= 0");
+  return params;
+}
+
 namespace {
 
 CaWoParams paramsFromOptions(const SolverOptions& options) {
-  CaWoParams params;
-  params.blockSize =
-      static_cast<int>(options.getInt("block-size", params.blockSize));
-  params.lsRadius = options.getInt("ls-radius", params.lsRadius);
+  CaWoParams params = tuningFromOptions(options);
   const std::int64_t threads = options.getInt("threads", params.threads);
   CAWO_REQUIRE(threads >= 0,
                "CaWoSched option \"threads\" must be >= 0 (0 = hardware)");
@@ -152,6 +163,7 @@ void fillPhaseStats(const VariantRunStats& run,
   stats["ls-us"] = static_cast<std::int64_t>(std::llround(run.lsMs * 1000.0));
   stats["ls-rounds"] = static_cast<std::int64_t>(run.ls.rounds);
   stats["ls-moves"] = static_cast<std::int64_t>(run.ls.movesApplied);
+  stats["ls-probes"] = static_cast<std::int64_t>(run.ls.probes);
   stats["ls-initial-cost"] = static_cast<std::int64_t>(run.ls.initialCost);
   stats["ls-final-cost"] = static_cast<std::int64_t>(run.ls.finalCost);
   // Only multi-start runs grow extra keys, so default-knob records (and

@@ -80,10 +80,7 @@ protected:
 
     const VariantSpec variant =
         VariantSpec::parse(options.getString("variant", "pressWR-LS"));
-    CaWoParams params;
-    params.blockSize =
-        static_cast<int>(options.getInt("block-size", params.blockSize));
-    params.lsRadius = options.getInt("ls-radius", params.lsRadius);
+    const CaWoParams params = tuningFromOptions(options);
 
     // The request's context (if any) describes the *original* mapping, so
     // it cannot be reused here; the second pass gets its own context over

@@ -72,69 +72,6 @@ void parallelFor(std::size_t n, unsigned threads, Fn&& fn) {
   if (firstError) std::rethrow_exception(firstError);
 }
 
-/// Deterministic order-preserving best-of reduction: evaluate `eval(i)`
-/// for every i in [0, n), possibly concurrently, and return the index of
-/// the best value under `better` (a strict "a beats b" predicate), with
-/// ties broken toward the LOWEST index — never toward whichever worker
-/// happened to finish first. Returns `n` (and leaves `*bestValue` at
-/// `worst`) when no value beats `worst`.
-///
-/// The index range is split into one contiguous chunk per worker; each
-/// chunk is scanned left to right (the first strictly-better value wins
-/// within the chunk) and the per-chunk champions are merged in chunk
-/// order on the calling thread. Both steps prefer the earlier index on
-/// ties, so the winner is identical for every thread count — including
-/// 1, where the scan runs inline with no threads spawned. `eval` must be
-/// safe to call concurrently (it may only read shared state).
-template <typename V, typename Eval, typename Better>
-std::size_t parallelOrderedBest(std::size_t n, unsigned threads, V worst,
-                                Eval&& eval, Better&& better,
-                                V* bestValue = nullptr) {
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(
-                                            std::min<std::size_t>(n, ~0u)));
-
-  std::size_t bestIdx = n;
-  V best = worst;
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      V v = eval(i);
-      if (better(v, best)) {
-        best = std::move(v);
-        bestIdx = i;
-      }
-    }
-  } else {
-    struct Champion {
-      std::size_t idx;
-      V value;
-    };
-    std::vector<Champion> champs(threads, Champion{n, worst});
-    parallelFor(threads, threads, [&](std::size_t c) {
-      const std::size_t lo = n * c / threads;
-      const std::size_t hi = n * (c + 1) / threads;
-      Champion mine{n, worst};
-      for (std::size_t i = lo; i < hi; ++i) {
-        V v = eval(i);
-        if (better(v, mine.value)) {
-          mine.value = std::move(v);
-          mine.idx = i;
-        }
-      }
-      champs[c] = std::move(mine);
-    });
-    for (Champion& c : champs) {
-      if (c.idx != n && better(c.value, best)) {
-        best = std::move(c.value);
-        bestIdx = c.idx;
-      }
-    }
-  }
-  if (bestValue != nullptr) *bestValue = std::move(best);
-  return bestIdx;
-}
-
 /// Persistent worker pool with a bounded job queue and non-blocking
 /// admission.
 ///

@@ -267,6 +267,45 @@ TEST(SolverApi, TuningParametersFlowThroughOptionsBag) {
   EXPECT_EQ(viaRegistry.cost, legacy);
 }
 
+// block-size and ls-radius are checked when the options are read: a
+// negative radius is rejected even by variants that never run local
+// search, and a block size past INT_MAX is rejected instead of truncated.
+TEST(SolverApi, OutOfRangeTuningOptionsThrow) {
+  const Instance inst = buildInstance(smallSpec());
+  const SolverRegistry& registry = SolverRegistry::global();
+  SolveRequest request;
+  request.gc = &inst.gc;
+  request.profile = &inst.profile;
+  request.deadline = inst.deadline;
+  request.graph = &inst.graph;
+  request.platform = &inst.platform;
+
+  const std::vector<std::pair<std::string, std::int64_t>> bad = {
+      {"ls-radius", -5},
+      {"block-size", 0},
+      {"block-size", -3},
+      {"block-size", 4294967297LL}, // 2^32 + 1: static_cast<int> gives 1
+  };
+  for (const auto& [key, value] : bad) {
+    for (const char* name : {"pressWR", "pressWR-LS", "greenheft"}) {
+      SolveRequest r = request;
+      r.options.setInt(key, value);
+      EXPECT_THROW((void)registry.create(name)->solve(r), PreconditionError)
+          << name << " accepted " << key << "=" << value;
+      try {
+        (void)registry.create(name)->solve(r);
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << name << ": " << e.what();
+      }
+    }
+  }
+
+  // The boundaries themselves are accepted.
+  request.options.setInt("ls-radius", 0).setInt("block-size", 1);
+  EXPECT_NO_THROW((void)registry.create("pressWR-LS")->solve(request));
+}
+
 // Broad selections must stay usable on any instance: capability-
 // mismatched solvers are skipped, not fatal.
 TEST(SolverApi, RunnerSkipsIncompatibleSolvers) {

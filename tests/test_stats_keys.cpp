@@ -25,6 +25,7 @@ const std::set<std::string>& documentedStatsKeys() {
       "ls-us",           // local-search wall time (µs)
       "ls-rounds",       // local-search improvement rounds
       "ls-moves",        // moves applied across all rounds
+      "ls-probes",       // candidate targets scored across all rounds
       "ls-initial-cost", // cost before the climb
       "ls-final-cost",   // cost after the climb
       "ls-restarts",     // restarts executed (multi-start LS)
