@@ -8,44 +8,33 @@
 
 #include "bench_common.hpp"
 
-#include "core/asap.hpp"
-#include "core/carbon_cost.hpp"
-#include "util/timer.hpp"
+#include <cmath>
 
 int main(int argc, char** argv) {
   using namespace cawo;
   using namespace cawo::bench;
 
-  BenchConfig cfg = parseBenchConfig(argc, argv);
-  // A lighter grid: one family per structural archetype, one cluster.
-  std::vector<InstanceSpec> specs;
-  for (const WorkflowFamily family :
-       {WorkflowFamily::Atacseq, WorkflowFamily::Eager}) {
-    for (InstanceSpec spec :
-         fullGrid(family, cfg.tasks, cfg.clusters.front(), cfg.baseSeed,
-                  cfg.numIntervals))
-      specs.push_back(spec);
-  }
+  const BenchConfig cfg = parseBenchConfig(argc, argv);
+  // A lighter grid: one family per structural archetype, one cluster, one
+  // seed; serial, so the running times are not skewed by contention.
+  CampaignSpec spec = benchCampaign(cfg, "ablation");
+  spec.families = {WorkflowFamily::Atacseq, WorkflowFamily::Eager};
+  spec.nodesPerType = {cfg.clusters.front()};
+  spec.seeds = {cfg.baseSeed};
+  spec.algos = "ASAP,pressWR-LS";
+  spec.threads = 1;
 
-  const VariantSpec variant = VariantSpec::parse("pressWR-LS");
-
-  auto evaluate = [&](const CaWoParams& params, std::vector<double>& ratios,
+  // pressWR-LS (the last selected solver): its defined cost ratios vs
+  // ASAP and its running times.
+  auto evaluate = [&](const SolverOptions& options,
+                      std::vector<double>& ratios,
                       std::vector<double>& times) {
-    for (const InstanceSpec& spec : specs) {
-      const Instance inst = buildInstance(spec);
-      const Cost asap =
-          evaluateCost(inst.gc, inst.profile, scheduleAsap(inst.gc));
-      WallTimer timer;
-      const Schedule s =
-          runVariant(inst.gc, inst.profile, inst.deadline, variant, params);
-      times.push_back(timer.elapsedMs());
-      const Cost own = evaluateCost(inst.gc, inst.profile, s);
-      if (asap == 0) {
-        if (own == 0) ratios.push_back(1.0);
-      } else {
-        ratios.push_back(static_cast<double>(own) /
-                         static_cast<double>(asap));
-      }
+    const CampaignOutcome outcome = runCampaign(spec, options);
+    requireFeasibleRecords(outcome);
+    for (std::size_t i = 0; i < outcome.numInstances; ++i) {
+      const CampaignRecord& r = outcome.instanceCells(i).back();
+      times.push_back(r.wallMs);
+      if (!std::isnan(r.ratioVsBaseline)) ratios.push_back(r.ratioVsBaseline);
     }
   };
 
@@ -54,10 +43,10 @@ int main(int argc, char** argv) {
   {
     TextTable table({"k", "median ratio vs ASAP", "median ms"});
     for (const int k : {1, 2, 3, 4, 5}) {
-      CaWoParams params;
-      params.blockSize = k;
+      SolverOptions options;
+      options.setInt("block-size", k);
       std::vector<double> ratios, times;
-      evaluate(params, ratios, times);
+      evaluate(options, ratios, times);
       table.addRow({std::to_string(k), formatFixed(medianOf(ratios), 3),
                     formatFixed(medianOf(times), 2)});
     }
@@ -69,10 +58,10 @@ int main(int argc, char** argv) {
   {
     TextTable table({"mu", "median ratio vs ASAP", "median ms"});
     for (const Time mu : {0, 2, 5, 10, 20, 40}) {
-      CaWoParams params;
-      params.lsRadius = mu;
+      SolverOptions options;
+      options.setInt("ls-radius", mu);
       std::vector<double> ratios, times;
-      evaluate(params, ratios, times);
+      evaluate(options, ratios, times);
       table.addRow({std::to_string(mu), formatFixed(medianOf(ratios), 3),
                     formatFixed(medianOf(times), 2)});
     }

@@ -39,6 +39,7 @@
 #include "sim/table.hpp"
 #include "solver/registry.hpp"
 #include "util/cli.hpp"
+#include "util/require.hpp"
 #include "util/strings.hpp"
 
 namespace cawo::bench {
@@ -106,24 +107,29 @@ inline CampaignSpec benchCampaign(const BenchConfig& cfg,
   return spec;
 }
 
-/// Run a campaign for a figure binary: announce the size, execute, and
-/// honour --out by writing the JSON result file next to the figure text.
+/// A solver that ran must return a valid schedule: an infeasible record
+/// is a library bug, never a data point.
+inline void requireFeasibleRecords(const CampaignOutcome& outcome) {
+  for (const CampaignRecord& r : outcome.records)
+    CAWO_ASSERT(r.skipped || r.feasible, "solver " + r.solver +
+                                             " produced an invalid schedule "
+                                             "on " + r.instance);
+}
+
+/// Run a campaign for a figure binary: announce the size, execute, check
+/// every schedule, and honour --out by writing the JSON result file next
+/// to the figure text.
 inline CampaignOutcome runBenchCampaign(const CampaignSpec& spec,
                                         const BenchConfig& cfg) {
   std::cout << "running " << spec.cellCount() << " instances × "
             << campaignSolverNames(spec).size() << " solvers ...\n";
   CampaignOutcome outcome = runCampaign(spec);
+  requireFeasibleRecords(outcome);
   if (!cfg.out.empty()) {
     writeCampaignJsonFile(cfg.out, outcome);
     std::cout << "campaign records written to " << cfg.out << "\n";
   }
   return outcome;
-}
-
-/// Compatibility shim for the figure binaries that only need the
-/// suite-style per-instance results.
-inline std::vector<InstanceResult> runBenchGrid(const BenchConfig& cfg) {
-  return runBenchCampaign(benchCampaign(cfg, "bench-grid"), cfg).results;
 }
 
 /// Median cost ratio vs ASAP (index 0) for every CaWoSched variant.
@@ -138,16 +144,6 @@ inline void printMedianRatios(std::ostream& out, const CostMatrix& m,
     values.push_back(medianOf(ratios));
   }
   printBarChart(out, title, labels, values);
-}
-
-/// Filter suite results by a predicate on the spec.
-template <typename Pred>
-std::vector<InstanceResult> filterResults(
-    const std::vector<InstanceResult>& results, Pred pred) {
-  std::vector<InstanceResult> out;
-  for (const InstanceResult& r : results)
-    if (pred(r.spec)) out.push_back(r);
-  return out;
 }
 
 } // namespace cawo::bench

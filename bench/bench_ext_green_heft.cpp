@@ -43,8 +43,9 @@ int main(int argc, char** argv) {
 
   for (const WorkflowFamily family :
        {WorkflowFamily::Atacseq, WorkflowFamily::Eager}) {
-    // The paper's 16-profile grid (fullGrid), generalised to the
-    // configured scenario axis.
+    // The paper's 16-profile grid, generalised to the configured scenario
+    // axis. Built by hand rather than as a campaign: every instance gets
+    // its own `link-seed` below, which a campaign cannot express.
     std::vector<InstanceSpec> grid;
     for (const std::string& scenario : scenarioAxis) {
       for (const double factor : {1.0, 1.5, 2.0, 3.0}) {

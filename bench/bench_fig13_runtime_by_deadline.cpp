@@ -10,8 +10,8 @@ int main(int argc, char** argv) {
   using namespace cawo::bench;
 
   const BenchConfig cfg = parseBenchConfig(argc, argv);
-  const auto results = runBenchGrid(cfg);
-  const auto names = algorithmNames();
+  const CampaignOutcome outcome =
+      runBenchCampaign(benchCampaign(cfg, "bench-grid"), cfg);
 
   printHeading(std::cout, "Figure 13 — median running time (ms) by deadline "
                           "factor");
@@ -20,13 +20,15 @@ int main(int argc, char** argv) {
     headers.push_back(formatFixed(f, 1) + "·D");
   TextTable table(headers);
 
-  for (std::size_t a = 0; a < names.size(); ++a) {
-    std::vector<std::string> row{names[a]};
+  for (std::size_t a = 0; a < outcome.solvers.size(); ++a) {
+    std::vector<std::string> row{outcome.solvers[a]};
     for (const double factor : {1.0, 1.5, 2.0, 3.0}) {
       std::vector<double> times;
-      for (const InstanceResult& r : results)
-        if (r.spec.deadlineFactor == factor)
-          times.push_back(r.runs[a].millis);
+      for (std::size_t i = 0; i < outcome.numInstances; ++i) {
+        const CampaignRecord& r = outcome.instanceCells(i)[a];
+        if (!r.skipped && r.spec.deadlineFactor == factor)
+          times.push_back(r.wallMs);
+      }
       row.push_back(times.empty() ? "-" : formatFixed(medianOf(times), 2));
     }
     table.addRow(row);

@@ -11,19 +11,18 @@ int main(int argc, char** argv) {
   using namespace cawo::bench;
 
   const BenchConfig cfg = parseBenchConfig(argc, argv);
-  const auto results = runBenchGrid(cfg);
+  const CampaignOutcome outcome =
+      runBenchCampaign(benchCampaign(cfg, "bench-grid"), cfg);
 
   for (const int cluster : cfg.clusters) {
-    const auto subset = filterResults(results, [&](const InstanceSpec& s) {
+    const CostMatrix m = toCostMatrix(outcome, [&](const InstanceSpec& s) {
       return s.nodesPerType == cluster;
     });
-    if (subset.empty()) continue;
-    const CostMatrix m = toCostMatrix(subset);
 
     printHeading(std::cout, "Figure 14 — median cost ratio vs ASAP, cluster "
                             "with " +
                                 std::to_string(cluster) + " node(s)/type (" +
-                                std::to_string(subset.size()) +
+                                std::to_string(m.numInstances()) +
                                 " instances)");
     printMedianRatios(std::cout, m, "");
 

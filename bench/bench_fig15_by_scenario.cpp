@@ -20,14 +20,10 @@ int main(int argc, char** argv) {
   const BenchConfig cfg = parseBenchConfig(argc, argv);
   const CampaignOutcome outcome =
       runBenchCampaign(benchCampaign(cfg, "fig15-by-scenario"), cfg);
-  const std::vector<InstanceResult>& results = outcome.results;
-
   for (const std::string& scenario : outcome.scenarios) {
-    const auto subset = filterResults(results, [&](const InstanceSpec& s) {
+    const CostMatrix m = toCostMatrix(outcome, [&](const InstanceSpec& s) {
       return s.scenario == scenario;
     });
-    if (subset.empty()) continue;
-    const CostMatrix m = toCostMatrix(subset);
     printHeading(std::cout, "Figure 15 — median cost ratio vs "
                             "ASAP, scenario " + scenario);
     printMedianRatios(std::cout, m, "");

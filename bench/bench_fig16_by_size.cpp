@@ -32,12 +32,9 @@ int main(int argc, char** argv) {
   const CampaignOutcome outcome = runBenchCampaign(campaign, cfg);
 
   for (const auto& [className, tasks] : classes) {
-    const auto subset =
-        filterResults(outcome.results, [&](const InstanceSpec& s) {
-          return s.targetTasks == tasks;
-        });
-    if (subset.empty()) continue;
-    const CostMatrix m = toCostMatrix(subset);
+    const CostMatrix m = toCostMatrix(outcome, [&](const InstanceSpec& s) {
+      return s.targetTasks == tasks;
+    });
     printHeading(std::cout, "Figure 16 — median cost ratio vs ASAP, " +
                                 className + " workflows (~" +
                                 std::to_string(tasks) + " tasks)");

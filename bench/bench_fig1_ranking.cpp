@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const BenchConfig cfg = parseBenchConfig(argc, argv);
   const CampaignOutcome outcome =
       runBenchCampaign(benchCampaign(cfg, "fig1-ranking"), cfg);
-  const CostMatrix m = toCostMatrix(outcome.results);
+  const CostMatrix m = toCostMatrix(outcome);
   const auto counts = rankDistribution(m);
   const auto total = static_cast<double>(m.numInstances());
 

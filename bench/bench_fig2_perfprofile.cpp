@@ -11,8 +11,9 @@ int main(int argc, char** argv) {
   using namespace cawo::bench;
 
   const BenchConfig cfg = parseBenchConfig(argc, argv);
-  const auto results = runBenchGrid(cfg);
-  const CostMatrix m = toCostMatrix(results);
+  const CampaignOutcome outcome =
+      runBenchCampaign(benchCampaign(cfg, "bench-grid"), cfg);
+  const CostMatrix m = toCostMatrix(outcome);
 
   const std::vector<double> taus{0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0};
   const auto profile = performanceProfile(m, taus);

@@ -10,20 +10,19 @@ int main(int argc, char** argv) {
   using namespace cawo::bench;
 
   const BenchConfig cfg = parseBenchConfig(argc, argv);
-  const auto results = runBenchGrid(cfg);
+  const CampaignOutcome outcome =
+      runBenchCampaign(benchCampaign(cfg, "bench-grid"), cfg);
   const std::vector<double> taus{0.5, 0.8, 1.0};
 
   for (const double factor : {1.0, 1.5, 2.0, 3.0}) {
-    const auto subset = filterResults(results, [&](const InstanceSpec& s) {
+    const CostMatrix m = toCostMatrix(outcome, [&](const InstanceSpec& s) {
       return s.deadlineFactor == factor;
     });
-    if (subset.empty()) continue;
-    const CostMatrix m = toCostMatrix(subset);
     const auto profile = performanceProfile(m, taus);
 
     printHeading(std::cout, "Figure 3 — performance profile at deadline " +
                                 formatFixed(factor, 1) + "·D (" +
-                                std::to_string(subset.size()) +
+                                std::to_string(m.numInstances()) +
                                 " instances)");
     std::vector<std::string> headers{"algorithm"};
     for (const double t : taus) headers.push_back("tau=" + formatFixed(t, 1));

@@ -10,8 +10,9 @@ int main(int argc, char** argv) {
   using namespace cawo::bench;
 
   const BenchConfig cfg = parseBenchConfig(argc, argv);
-  const auto results = runBenchGrid(cfg);
-  const CostMatrix m = toCostMatrix(results);
+  const CampaignOutcome outcome =
+      runBenchCampaign(benchCampaign(cfg, "bench-grid"), cfg);
+  const CostMatrix m = toCostMatrix(outcome);
 
   printHeading(std::cout,
                "Figure 4 — median cost ratio vs ASAP (lower is better)");

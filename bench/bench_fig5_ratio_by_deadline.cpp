@@ -10,14 +10,13 @@ int main(int argc, char** argv) {
   using namespace cawo::bench;
 
   const BenchConfig cfg = parseBenchConfig(argc, argv);
-  const auto results = runBenchGrid(cfg);
+  const CampaignOutcome outcome =
+      runBenchCampaign(benchCampaign(cfg, "bench-grid"), cfg);
 
   for (const double factor : {1.0, 1.5, 2.0, 3.0}) {
-    const auto subset = filterResults(results, [&](const InstanceSpec& s) {
+    const CostMatrix m = toCostMatrix(outcome, [&](const InstanceSpec& s) {
       return s.deadlineFactor == factor;
     });
-    if (subset.empty()) continue;
-    const CostMatrix m = toCostMatrix(subset);
     printHeading(std::cout, "Figure 5 — median cost ratio vs ASAP at " +
                                 formatFixed(factor, 1) + "·D");
     printMedianRatios(std::cout, m, "");

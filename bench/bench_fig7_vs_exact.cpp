@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const int tasks = static_cast<int>(args.getInt("tasks", 5));
   const auto baseSeed = static_cast<std::uint64_t>(args.getInt("seed", 7));
 
-  std::vector<std::string> names = algorithmNames();
+  const std::vector<std::string> names = suiteSolverNames();
   std::vector<std::vector<double>> ratios(names.size());
   int optimalHits = 0, totalRuns = 0, certified = 0;
 

@@ -13,24 +13,31 @@ int main(int argc, char** argv) {
   using namespace cawo::bench;
 
   const BenchConfig cfg = parseBenchConfig(argc, argv);
-  const auto results = runBenchGrid(cfg);
-  const auto names = algorithmNames();
+  const CampaignOutcome outcome =
+      runBenchCampaign(benchCampaign(cfg, "bench-grid"), cfg);
+  const std::vector<std::string>& names = outcome.solvers;
+  const std::size_t S = names.size();
 
-  auto timeStats = [&](const std::vector<InstanceResult>& subset) {
-    std::vector<std::vector<double>> times(names.size());
-    for (const InstanceResult& r : subset)
-      for (std::size_t a = 0; a < r.runs.size(); ++a)
-        times[a].push_back(r.runs[a].millis);
+  // Running times per cell label over the instances `keep` selects.
+  auto timeStats = [&](auto keep) {
+    std::vector<std::vector<double>> times(S);
+    for (std::size_t i = 0; i < outcome.numInstances; ++i) {
+      const auto cells = outcome.instanceCells(i);
+      if (!keep(cells.front())) continue;
+      for (std::size_t a = 0; a < S; ++a)
+        if (!cells[a].skipped) times[a].push_back(cells[a].wallMs);
+    }
     return times;
   };
 
   printHeading(std::cout, "Figure 8 — running time per algorithm (ms, " +
-                              std::to_string(results.size()) +
+                              std::to_string(outcome.numInstances) +
                               " instances)");
   {
-    const auto times = timeStats(results);
+    const auto times = timeStats([](const CampaignRecord&) { return true; });
     TextTable table({"algorithm", "median ms", "mean ms", "max ms"});
-    for (std::size_t a = 0; a < names.size(); ++a) {
+    for (std::size_t a = 0; a < S; ++a) {
+      if (times[a].empty()) continue;
       const double maxV =
           *std::max_element(times[a].begin(), times[a].end());
       table.addRow({names[a], formatFixed(medianOf(times[a]), 2),
@@ -42,19 +49,22 @@ int main(int argc, char** argv) {
 
   // Figure 12: restrict to the largest workflows in this run.
   TaskId largest = 0;
-  for (const InstanceResult& r : results)
+  for (const CampaignRecord& r : outcome.records)
     largest = std::max(largest, r.numNodes);
-  std::vector<InstanceResult> bigOnly;
-  for (const InstanceResult& r : results)
-    if (r.numNodes >= largest * 3 / 4) bigOnly.push_back(r);
+  const auto isBig = [&](const CampaignRecord& r) {
+    return r.numNodes >= largest * 3 / 4;
+  };
+  std::size_t bigCount = 0;
+  for (std::size_t i = 0; i < outcome.numInstances; ++i)
+    if (isBig(outcome.instanceCells(i).front())) ++bigCount;
 
   printHeading(std::cout, "Figure 12 — running time on the largest "
                           "workflows only (" +
-                              std::to_string(bigOnly.size()) + " instances)");
+                              std::to_string(bigCount) + " instances)");
   {
-    const auto times = timeStats(bigOnly);
+    const auto times = timeStats(isBig);
     TextTable table({"algorithm", "median ms", "max ms"});
-    for (std::size_t a = 0; a < names.size(); ++a) {
+    for (std::size_t a = 0; a < S; ++a) {
       if (times[a].empty()) continue;
       const double maxV =
           *std::max_element(times[a].begin(), times[a].end());

@@ -11,32 +11,19 @@
 
 #include "util/require.hpp"
 
-#include "core/carbon_cost.hpp"
-
 int main(int argc, char** argv) {
   using namespace cawo;
   using namespace cawo::bench;
 
   const BenchConfig cfg = parseBenchConfig(argc, argv);
 
-  // The paper uses all atacseq variants plus bacass for this study.
-  std::vector<InstanceSpec> specs;
-  for (const WorkflowFamily family :
-       {WorkflowFamily::Atacseq, WorkflowFamily::Bacass}) {
-    const int tasks = family == WorkflowFamily::Bacass
-                          ? std::max(20, cfg.tasks / 3)
-                          : cfg.tasks;
-    for (const int cluster : cfg.clusters)
-      for (int s = 0; s < cfg.seedsPerCell; ++s)
-        for (InstanceSpec spec :
-             fullGrid(family, tasks, cluster,
-                      cfg.baseSeed + static_cast<std::uint64_t>(s) * 1000,
-                      cfg.numIntervals))
-          specs.push_back(spec);
-  }
-  std::cout << "running " << specs.size() << " instances ...\n";
-  const auto results = runSuite(specs);
-  const CostMatrix m = toCostMatrix(results);
+  // The paper uses all atacseq variants plus bacass for this study; the
+  // with/without-LS pairs need the full suite whatever --algos says.
+  CampaignSpec spec = benchCampaign(cfg, "table2-localsearch");
+  spec.families = {WorkflowFamily::Atacseq, WorkflowFamily::Bacass};
+  spec.algos = "suite";
+  const CampaignOutcome outcome = runBenchCampaign(spec, cfg);
+  const CostMatrix m = toCostMatrix(outcome);
 
   auto indexOf = [&](const std::string& name) {
     for (std::size_t a = 0; a < m.numAlgorithms(); ++a)

@@ -12,8 +12,7 @@
 #include "core/asap.hpp"
 #include "core/carbon_cost.hpp"
 #include "core/cawosched.hpp"
-#include "sim/instance.hpp"
-#include "sim/runner.hpp"
+#include "exp/campaign_runner.hpp"
 #include "sim/table.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
@@ -22,14 +21,17 @@ int main(int argc, char** argv) {
   using namespace cawo;
 
   const CliArgs args(argc, argv, {"tasks", "deadline-factor", "seed"});
-  InstanceSpec spec;
-  spec.family = WorkflowFamily::Eager;
-  spec.targetTasks = static_cast<int>(args.getInt("tasks", 120));
-  spec.nodesPerType = 2;
-  spec.scenario = "S1";
-  spec.deadlineFactor = args.getDouble("deadline-factor", 3.0);
-  spec.numIntervals = 24; // one "hour" per interval
-  spec.seed = static_cast<std::uint64_t>(args.getInt("seed", 21));
+  // A one-instance campaign: the suite on a single S1 day.
+  CampaignSpec campaign;
+  campaign.name = "solar-datacenter";
+  campaign.families = {WorkflowFamily::Eager};
+  campaign.tasks = {static_cast<int>(args.getInt("tasks", 120))};
+  campaign.nodesPerType = {2};
+  campaign.scenarios = {"S1"};
+  campaign.deadlineFactors = {args.getDouble("deadline-factor", 3.0)};
+  campaign.numIntervals = 24; // one "hour" per interval
+  campaign.seeds = {static_cast<std::uint64_t>(args.getInt("seed", 21))};
+  const InstanceSpec spec = expandCampaign(campaign).front();
 
   const Instance inst = buildInstance(spec);
   std::cout << "eager workflow: " << inst.graph.numTasks() << " tasks ("
@@ -37,34 +39,34 @@ int main(int argc, char** argv) {
             << inst.deadline << " = " << spec.deadlineFactor
             << "×ASAP makespan, 24 'hourly' solar intervals\n\n";
 
-  const InstanceResult result = runAllOnInstance(inst);
-  std::vector<std::size_t> order(result.runs.size());
+  const std::vector<CampaignRecord> runs = runCampaign(campaign).records;
+  std::vector<std::size_t> order(runs.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return result.runs[a].cost < result.runs[b].cost;
+    return runs[a].cost < runs[b].cost;
   });
 
   TextTable table({"rank", "algorithm", "carbon cost", "vs ASAP", "ms"});
-  const Cost asapCost = result.runs[0].cost;
+  const Cost asapCost = runs[0].cost;
   int rank = 1;
   for (const std::size_t i : order) {
-    const auto& run = result.runs[i];
+    const CampaignRecord& run = runs[i];
     const std::string ratio =
         asapCost == 0 ? "-" : formatFixed(static_cast<double>(run.cost) /
                                               static_cast<double>(asapCost),
                                           3);
-    table.addRow({std::to_string(rank++), run.algorithm,
+    table.addRow({std::to_string(rank++), run.solver,
                   std::to_string(run.cost), ratio,
-                  formatFixed(run.millis, 1)});
+                  formatFixed(run.wallMs, 1)});
   }
   table.print(std::cout);
 
   // Hourly brown-power histograms: where does each schedule pollute?
   const Schedule asap = scheduleAsap(inst.gc);
   const VariantSpec bestSpec =
-      VariantSpec::parse(result.runs[order[0]].algorithm == "ASAP"
+      VariantSpec::parse(runs[order[0]].solver == "ASAP"
                              ? "pressWR-LS"
-                             : result.runs[order[0]].algorithm);
+                             : runs[order[0]].solver);
   const Schedule best =
       runVariant(inst.gc, inst.profile, inst.deadline, bestSpec);
 

@@ -15,9 +15,9 @@
 /// and the carbon cost is CC_t = max(P_t − G_j, 0). The total is Σ_t CC_t.
 ///
 /// `evaluateCost` is the polynomial sweep-line evaluator of Appendix A.1
-/// (subintervals between task start/end events and interval boundaries);
-/// `evaluateCostReference` loops over individual time units and exists to
-/// cross-check the sweep in tests (pseudo-polynomial, O(T + N)).
+/// (subintervals between task start/end events and interval boundaries).
+/// The tests cross-check it against a per-time-unit reference evaluator,
+/// `tests/oracles/carbon_cost_reference.hpp`.
 
 namespace cawo {
 
@@ -26,10 +26,6 @@ namespace cawo {
 /// if the caller extended the profile accordingly.
 Cost evaluateCost(const EnhancedGraph& gc, const PowerProfile& profile,
                   const Schedule& s);
-
-/// Pseudo-polynomial reference evaluation (test oracle).
-Cost evaluateCostReference(const EnhancedGraph& gc, const PowerProfile& profile,
-                           const Schedule& s);
 
 /// Per-interval cost decomposition (for reporting / plotting).
 struct CostBreakdown {

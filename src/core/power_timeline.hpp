@@ -32,7 +32,7 @@
 /// Every cost is an exact 64-bit integer and per-segment terms are always
 /// accumulated left to right, so `totalCost`/`moveDelta`/`peekMoveDelta`
 /// return values bit-identical to the retained map-backed oracle
-/// (`MapPowerTimeline`, pinned by property test).
+/// (`MapPowerTimeline` in tests/oracles, pinned by property test).
 
 namespace cawo {
 

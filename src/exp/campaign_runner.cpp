@@ -5,6 +5,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 
@@ -20,13 +21,12 @@
 #include "obs/trace.hpp"
 #include "online/replay.hpp"
 #include "profile/profile_source.hpp"
-#include "util/timer.hpp"
-#include "sim/stats.hpp"
 #include "sim/table.hpp"
 #include "solver/registry.hpp"
 #include "util/parallel.hpp"
 #include "util/require.hpp"
 #include "util/strings.hpp"
+#include "util/timer.hpp"
 
 namespace cawo {
 
@@ -82,21 +82,15 @@ void assignBaselineRatios(CampaignRecord* records, std::size_t count) {
   }
 }
 
-/// Solve every selected solver on one built instance and fill both the
-/// suite-compatible InstanceResult and the campaign records. The solve
-/// path mirrors runSolversOnInstance exactly (same SolveRequest fields,
-/// same skip rule), so campaign costs match the suite runner bit for bit.
+/// Solve every selected solver on one built instance into its campaign
+/// records. Solvers that do not fit the instance yield skipped records.
 void runInstanceCell(const Instance& instance,
                      const std::vector<std::string>& solvers,
-                     const SolverOptions& options, InstanceResult& result,
-                     CampaignRecord* records) {
+                     const SolverOptions& options, CampaignRecord* records) {
   CAWO_REQUIRE(!solvers.empty(), "campaign has no solvers selected");
-  result.spec = instance.spec;
-  result.deadline = instance.deadline;
-  result.numNodes = instance.gc.numNodes();
-  result.runs.reserve(solvers.size());
 
-  // One shared context per instance, exactly like the suite runner.
+  // One shared context per instance: every selected solver reuses the
+  // memoized initial windows, score orders and refined interval sets.
   const SolveContext context(instance.gc, instance.profile,
                              instance.deadline);
 
@@ -142,8 +136,6 @@ void runInstanceCell(const Instance& instance,
     record.feasible = solved.feasible;
     record.provedOptimal = solved.provedOptimal;
     harvestPhaseStats(solved.stats, record);
-    result.runs.push_back(
-        {solvers[s], solved.cost, solved.wallMs, solved.provedOptimal});
   }
 
   // Ratios against the baseline — the first selected solver
@@ -159,12 +151,9 @@ void runOnlineInstanceCell(const Instance& instance,
                            const std::vector<std::string>& solvers,
                            const CampaignSpec& spec,
                            const SolverOptions& options,
-                           InstanceResult& result, CampaignRecord* records) {
+                           CampaignRecord* records) {
   CAWO_REQUIRE(!solvers.empty(), "campaign has no solvers selected");
   CAWO_REQUIRE(!spec.policies.empty(), "online campaign has no policies");
-  result.spec = instance.spec;
-  result.deadline = instance.deadline;
-  result.numNodes = instance.gc.numNodes();
 
   // Forecast/actual resolution, once per instance (see docs/formats.md,
   // "Forecast vs actual").
@@ -245,8 +234,6 @@ void runOnlineInstanceCell(const Instance& instance,
       record.clairvoyantCost = online.clairvoyantCost;
       record.regret = online.regret;
       record.regretRatio = online.regretRatio;
-      result.runs.push_back({solvers[s] + " @ " + spec.policies[p],
-                             record.cost, record.wallMs, false});
     }
   }
   assignBaselineRatios(records, solvers.size() * P);
@@ -272,7 +259,7 @@ void requireConsistentOnlineSpec(const CampaignSpec& spec) {
 void solveInstanceCells(const InstanceSpec& cell, const CampaignSpec& spec,
                         const std::vector<std::string>& solverNames,
                         const std::vector<std::string>& cellLabels,
-                        const SolverOptions& options, InstanceResult& result,
+                        const SolverOptions& options,
                         CampaignRecord* records) {
   obs::TraceScope span("campaign.instance");
   if (span.recording()) span.arg("instance", cell.label());
@@ -281,11 +268,34 @@ void solveInstanceCells(const InstanceSpec& cell, const CampaignSpec& spec,
     return buildInstance(cell);
   }();
   if (spec.online) {
-    runOnlineInstanceCell(instance, solverNames, spec, options, result,
-                          records);
+    runOnlineInstanceCell(instance, solverNames, spec, options, records);
   } else {
-    runInstanceCell(instance, cellLabels, options, result, records);
+    runInstanceCell(instance, cellLabels, options, records);
   }
+}
+
+/// The one grid loop: build and solve the `pending` instances on
+/// `spec.threads` workers. Each worker hands its instance's cell group to
+/// `sink`, then reports progress as (cells done, cells to do).
+void solvePending(const CampaignSpec& spec,
+                  const std::vector<InstanceSpec>& instances,
+                  const std::vector<std::size_t>& pending,
+                  const std::vector<std::string>& cellLabels,
+                  const SolverOptions& options, RecordSink& sink,
+                  const CampaignProgress& progress) {
+  const std::vector<std::string> solverNames = campaignSolverNames(spec);
+  const std::size_t S = cellLabels.size();
+  const std::size_t cellsToDo = pending.size() * S;
+  std::atomic<std::size_t> done{0};
+  parallelFor(pending.size(), spec.threads, [&](std::size_t k) {
+    if (obs::traceRecording()) obs::traceSetThreadName("campaign-worker");
+    const std::size_t i = pending[k];
+    std::vector<CampaignRecord> group(S);
+    solveInstanceCells(instances[i], spec, solverNames, cellLabels, options,
+                       group.data());
+    sink.appendInstance(i, group.data(), S);
+    if (progress) progress(done.fetch_add(S) + S, cellsToDo);
+  });
 }
 
 } // namespace
@@ -308,6 +318,38 @@ std::vector<std::string> campaignDistinctScenarios(const CampaignSpec& spec) {
   return out;
 }
 
+std::span<const CampaignRecord> CampaignOutcome::instanceCells(
+    std::size_t i) const {
+  const std::size_t S = solvers.size();
+  CAWO_REQUIRE(i < numInstances && S > 0 && records.size() == numInstances * S,
+               "instance " + std::to_string(i) + " has no records");
+  return {records.data() + i * S, S};
+}
+
+CostMatrix toCostMatrix(const CampaignOutcome& outcome,
+                        const std::function<bool(const InstanceSpec&)>& keep) {
+  CostMatrix m;
+  std::span<const CampaignRecord> first; // the first kept instance
+  for (std::size_t i = 0; i < outcome.numInstances; ++i) {
+    const std::span<const CampaignRecord> cells = outcome.instanceCells(i);
+    if (keep && !keep(cells.front().spec)) continue;
+    if (m.costs.empty()) {
+      first = cells;
+      for (std::size_t c = 0; c < cells.size(); ++c)
+        if (!cells[c].skipped) m.algorithms.push_back(outcome.solvers[c]);
+    }
+    std::vector<Cost> row;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      CAWO_REQUIRE(cells[c].skipped == first[c].skipped,
+                   "inconsistent algorithm sets across instances");
+      if (!cells[c].skipped) row.push_back(cells[c].cost);
+    }
+    m.costs.push_back(std::move(row));
+  }
+  CAWO_REQUIRE(!m.costs.empty(), "no results");
+  return m;
+}
+
 CampaignOutcome runCampaign(const CampaignSpec& spec,
                             const SolverOptions& options,
                             const CampaignProgress& progress) {
@@ -318,29 +360,19 @@ CampaignOutcome runCampaign(const CampaignSpec& spec,
 
   // Per-instance cell labels: the plain solver selection offline, the
   // solver × policy cross-product online ("solver @ policy").
-  const std::vector<std::string> solverNames = campaignSolverNames(spec);
   outcome.solvers = campaignCellLabels(spec);
   if (spec.online) outcome.policies = spec.policies;
 
   const std::vector<InstanceSpec> instances = expandCampaign(spec);
   const std::size_t S = outcome.solvers.size();
-  const std::size_t totalCells = instances.size() * S;
-  outcome.results.resize(instances.size());
-  outcome.records.resize(totalCells);
+  outcome.numInstances = instances.size();
+  outcome.records.resize(instances.size() * S);
 
-  // The legacy in-memory path is now "runner → MemoryRecordSink": workers
-  // solve into a local cell group and hand it over, exactly like the
-  // store-backed path hands groups to CampaignStoreWriter.
+  std::vector<std::size_t> all(instances.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
   MemoryRecordSink sink(outcome.records, S);
-  std::atomic<std::size_t> done{0};
-  parallelFor(instances.size(), spec.threads, [&](std::size_t i) {
-    if (obs::traceRecording()) obs::traceSetThreadName("campaign-worker");
-    std::vector<CampaignRecord> group(S);
-    solveInstanceCells(instances[i], spec, solverNames, outcome.solvers,
-                       options, outcome.results[i], group.data());
-    sink.appendInstance(i, group.data(), S);
-    if (progress) progress(done.fetch_add(S) + S, totalCells);
-  });
+  solvePending(spec, instances, all, outcome.solvers, options, sink,
+               progress);
 
   SummaryAccumulator accumulator(outcome.solvers, outcome.scenarios);
   for (std::size_t i = 0; i < instances.size(); ++i)
@@ -355,8 +387,6 @@ CampaignRunStats runCampaignToStore(const SolverOptions& options,
                                     std::size_t maxCells) {
   const CampaignSpec& spec = store.spec();
   requireConsistentOnlineSpec(spec);
-  const std::vector<std::string> solverNames = campaignSolverNames(spec);
-  const std::vector<std::string>& cellLabels = store.cellLabels();
   const std::vector<InstanceSpec>& instances = store.instances();
   const std::size_t S = store.stride();
 
@@ -378,28 +408,15 @@ CampaignRunStats runCampaignToStore(const SolverOptions& options,
     }
   }
 
-  const std::size_t cellsToDo = pending.size() * S;
   const std::size_t fsyncsBefore = store.fsyncCount();
   WallTimer runTimer;
-  std::atomic<std::size_t> done{0};
-  std::atomic<std::size_t> appended{0};
-  parallelFor(pending.size(), spec.threads, [&](std::size_t k) {
-    if (obs::traceRecording()) obs::traceSetThreadName("campaign-worker");
-    const std::size_t i = pending[k];
-    std::size_t missing = 0;
-    for (std::size_t c = 0; c < S; ++c)
-      if (!store.cellPresent(i, c)) ++missing;
-    std::vector<CampaignRecord> group(S);
-    InstanceResult result; // the store path keeps no per-instance results
-    solveInstanceCells(instances[i], spec, solverNames, cellLabels, options,
-                       result, group.data());
-    store.appendInstance(i, group.data(), S);
-    appended.fetch_add(missing);
-    if (progress) progress(done.fetch_add(S) + S, cellsToDo);
-  });
+  solvePending(spec, instances, pending, store.cellLabels(), options, store,
+               progress);
   store.flush();
 
-  stats.cellsSolved = appended.load();
+  // After a torn-tail recovery an instance re-solves whole, but the store
+  // appends only its missing cells.
+  stats.cellsSolved = store.presentCells() - stats.presentBefore;
   stats.instancesSolved = pending.size();
   stats.wallSec = runTimer.elapsedSec();
   stats.fsyncs =
@@ -512,7 +529,7 @@ void writeCampaignJson(std::ostream& out, const CampaignOutcome& outcome) {
   w.beginObject();
   w.key("schema").value(kSchemaId);
   writeCampaignHeader(w, outcome.spec, outcome.solvers,
-                      outcome.results.size());
+                      outcome.numInstances);
 
   w.key("records");
   w.beginArray();
@@ -609,7 +626,7 @@ CampaignOutcome summariseStore(CampaignStoreReader& reader) {
   outcome.solvers = reader.cellLabels();
   if (outcome.spec.online) outcome.policies = outcome.spec.policies;
   outcome.scenarios = campaignDistinctScenarios(outcome.spec);
-  outcome.results.resize(reader.numInstances()); // sizes only; no records
+  outcome.numInstances = reader.numInstances();
 
   SummaryAccumulator accumulator(outcome.solvers, outcome.scenarios);
   const std::size_t S = reader.stride();
@@ -630,7 +647,7 @@ void printCampaignSummary(std::ostream& out, const CampaignOutcome& outcome,
   };
 
   printHeading(out, "campaign \"" + outcome.spec.name + "\" — " +
-                        std::to_string(outcome.results.size()) +
+                        std::to_string(outcome.numInstances) +
                         " instances × " +
                         std::to_string(outcome.solvers.size()) + " solvers");
   TextTable table({"solver", "instances", "wins", "median ratio",

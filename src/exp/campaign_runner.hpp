@@ -2,26 +2,29 @@
 
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "exp/campaign.hpp"
 #include "exp/record.hpp"
 #include "sim/runner.hpp"
+#include "sim/stats.hpp"
 #include "solver/solver.hpp"
 
 /// \file campaign_runner.hpp
 /// Executes a `CampaignSpec` and emits machine-readable results (see
 /// docs/formats.md, "Campaign result JSON").
 ///
-/// The runner expands the campaign's cross-product into instances, builds
-/// and solves them with `parallelFor` sharding over *instances* (each shard
-/// runs the full solver selection on its instance, exactly like the suite
-/// runner, so campaign costs match `runAllOnInstance` bit for bit), and
-/// hands each finished instance's cell group to a `RecordSink`
+/// This is the repository's one grid executor: the CLI, every figure and
+/// table, the examples and the tests run their grids through it. It
+/// expands the campaign's cross-product into instances, builds and solves
+/// them with `parallelFor` sharding over *instances* (each shard runs the
+/// full solver selection on its instance with one shared `SolveContext`),
+/// and hands each finished instance's cell group to a `RecordSink`
 /// (exp/record_sink.hpp):
-///   * `runCampaign` feeds a `MemoryRecordSink` — the legacy batch-in-RAM
-///     path producing a `CampaignOutcome` with every record;
+///   * `runCampaign` feeds a `MemoryRecordSink` — the batch-in-RAM path
+///     producing a `CampaignOutcome` with every record;
 ///   * `runCampaignToStore` feeds a `CampaignStoreWriter` (exp/store.hpp)
 ///     — the streaming out-of-core path for production-scale sweeps, with
 ///     resume (only missing cells are solved) and multi-process sharding.
@@ -45,10 +48,22 @@ struct CampaignOutcome {
   /// Distinct scenario specs: the paper's S1..S4 first (canonical order),
   /// then any other specs in first-appearance order.
   std::vector<std::string> scenarios;
-  std::vector<InstanceResult> results; ///< per instance, suite-compatible
+  std::size_t numInstances = 0;        ///< instances in the grid
   std::vector<CampaignRecord> records; ///< |instances| × |solvers| cells
   std::vector<SolverSummary> summaries;
+
+  /// The cells of instance `i` (expansion order), one per label in
+  /// `solvers` order. Requires the records to be present.
+  std::span<const CampaignRecord> instanceCells(std::size_t i) const;
 };
+
+/// The figure statistics' input (sim/stats): one row per instance whose
+/// spec `keep` accepts (all when empty), one column per cell label.
+/// Skipped cells are left out; every kept instance must skip the same
+/// cells, else this throws.
+CostMatrix toCostMatrix(
+    const CampaignOutcome& outcome,
+    const std::function<bool(const InstanceSpec&)>& keep = {});
 
 /// Progress callback: (cells finished, total cells).
 using CampaignProgress = std::function<void(std::size_t, std::size_t)>;

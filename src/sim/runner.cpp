@@ -1,8 +1,6 @@
 #include "sim/runner.hpp"
 
-#include "core/solve_context.hpp"
-#include "util/parallel.hpp"
-#include "util/require.hpp"
+#include "core/cawosched.hpp"
 
 namespace cawo {
 
@@ -12,107 +10,8 @@ std::vector<std::string> suiteSolverNames() {
   return names;
 }
 
-std::vector<std::string> algorithmNames() { return suiteSolverNames(); }
-
-SolverOptions solverOptionsFrom(const CaWoParams& params) {
-  SolverOptions options;
-  options.setInt("block-size", params.blockSize);
-  options.setInt("ls-radius", params.lsRadius);
-  return options;
-}
-
 bool solverFitsInstance(const SolverInfo& info, const Instance& instance) {
   return !(info.singleProcOnly && instance.gc.numProcs() != 1);
-}
-
-InstanceResult runSolversOnInstance(const Instance& instance,
-                                    const std::vector<std::string>& solvers,
-                                    const SolverOptions& options) {
-  InstanceResult result;
-  result.spec = instance.spec;
-  result.deadline = instance.deadline;
-  result.numNodes = instance.gc.numNodes();
-  result.runs.reserve(solvers.size());
-
-  // One shared context per instance: every selected solver reuses the
-  // memoized initial windows, score orders and refined interval sets
-  // (identical results, computed once instead of once per solver).
-  const SolveContext context(instance.gc, instance.profile,
-                             instance.deadline);
-
-  SolveRequest request;
-  request.gc = &instance.gc;
-  request.profile = &instance.profile;
-  request.deadline = instance.deadline;
-  request.graph = &instance.graph;
-  request.platform = &instance.platform;
-  request.context = &context;
-  request.options = options;
-
-  const SolverRegistry& registry = SolverRegistry::global();
-  for (const std::string& name : solvers) {
-    const SolverPtr solver = registry.create(name);
-    // Solvers whose capabilities don't fit the instance are skipped, so
-    // broad selections ("all") stay usable on any suite: the
-    // single-processor DP cannot run on a multi-processor graph.
-    if (!solverFitsInstance(solver->info(), instance)) continue;
-    const SolveResult solved = solver->solve(request);
-    CAWO_ASSERT(solved.feasible, "solver " + name +
-                                     " produced an invalid schedule: " +
-                                     solved.validation.message);
-    result.runs.push_back(
-        {name, solved.cost, solved.wallMs, solved.provedOptimal});
-  }
-  return result;
-}
-
-InstanceResult runAllOnInstance(const Instance& instance,
-                                const CaWoParams& params) {
-  return runSolversOnInstance(instance, suiteSolverNames(),
-                              solverOptionsFrom(params));
-}
-
-std::vector<InstanceResult> runSuite(const std::vector<InstanceSpec>& specs,
-                                     const std::vector<std::string>& solvers,
-                                     const SolverOptions& options,
-                                     unsigned threads) {
-  std::vector<InstanceResult> results(specs.size());
-  try {
-    parallelFor(specs.size(), threads, [&](std::size_t i) {
-      const Instance instance = buildInstance(specs[i]);
-      results[i] = runSolversOnInstance(instance, solvers, options);
-    });
-  } catch (const std::exception& e) {
-    CAWO_REQUIRE(false, "suite run failed: " + std::string(e.what()));
-  }
-  return results;
-}
-
-std::vector<InstanceResult> runSuite(const std::vector<InstanceSpec>& specs,
-                                     const CaWoParams& params,
-                                     unsigned threads) {
-  return runSuite(specs, suiteSolverNames(), solverOptionsFrom(params),
-                  threads);
-}
-
-std::vector<InstanceSpec> fullGrid(WorkflowFamily family, int targetTasks,
-                                   int nodesPerType, std::uint64_t seed,
-                                   int numIntervals) {
-  std::vector<InstanceSpec> specs;
-  for (const std::string& sc : paperScenarioNames()) {
-    for (const double f : {1.0, 1.5, 2.0, 3.0}) {
-      InstanceSpec spec;
-      spec.family = family;
-      spec.targetTasks = targetTasks;
-      spec.nodesPerType = nodesPerType;
-      spec.scenario = sc;
-      spec.deadlineFactor = f;
-      spec.numIntervals = numIntervals;
-      spec.seed = seed;
-      specs.push_back(spec);
-    }
-  }
-  return specs;
 }
 
 } // namespace cawo

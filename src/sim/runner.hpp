@@ -3,92 +3,24 @@
 #include <string>
 #include <vector>
 
-#include "core/cawosched.hpp"
 #include "sim/instance.hpp"
 #include "solver/registry.hpp"
 
 /// \file runner.hpp
-/// Registry-driven experiment runner: any selection of registered solvers
-/// is run on experiment instances, every schedule is validated, and carbon
-/// cost plus running time are recorded. Instances are processed in
-/// parallel across hardware threads; every run is deterministic, so the
-/// parallelism never changes the results. All solvers selected for one
-/// instance share a `SolveContext` (memoized initial windows, refined
-/// intervals, score orders), so per-instance precomputation is paid once
-/// per instance, not once per solver.
-///
-/// The paper's figure set uses the *suite selection* — "ASAP" followed by
-/// the 16 CaWoSched variants in canonical order; `algorithmNames()` and
-/// `runAllOnInstance()` are thin compatibility wrappers over it, so the
-/// bench figure numbers are unchanged by the registry layer.
+/// The two solver-selection rules every grid shares. The grid itself runs
+/// through the campaign engine (exp/campaign_runner.hpp); these helpers
+/// name the paper's figure set and decide which solvers an instance can
+/// host, so the CLI, the campaign engine and the benches agree.
 
 namespace cawo {
-
-struct AlgoRun {
-  std::string algorithm;
-  Cost cost = 0;
-  double millis = 0.0;
-  bool provedOptimal = false; ///< exact solvers only
-};
-
-struct InstanceResult {
-  InstanceSpec spec;
-  Time deadline = 0;
-  TaskId numNodes = 0; ///< nodes of the enhanced graph (incl. comm tasks)
-  /// One entry per *compatible* selected solver, in selection order
-  /// (capability-mismatched solvers are skipped, see below).
-  std::vector<AlgoRun> runs;
-};
 
 /// The bench/figure selection: "ASAP" followed by the 16 CaWoSched
 /// variants in canonical order.
 std::vector<std::string> suiteSolverNames();
 
-/// Compatibility alias for `suiteSolverNames()`.
-std::vector<std::string> algorithmNames();
-
 /// True if a solver with these capabilities can run on the instance —
 /// e.g. the single-processor "dp" does not fit a multi-processor enhanced
-/// graph. Shared by the suite runner and the campaign engine so broad
-/// selections ("all") skip the same solvers everywhere.
+/// graph. Broad selections ("all") skip the same solvers everywhere.
 bool solverFitsInstance(const SolverInfo& info, const Instance& instance);
-
-/// Run the given registry solvers on one (already built) instance.
-/// Solvers whose capabilities don't fit the instance (e.g. the
-/// single-processor "dp" on a multi-processor graph) are skipped, so
-/// broad selections like "all" work on any suite. Every produced schedule
-/// must validate; an invalid schedule is a library bug and throws
-/// InvariantError.
-InstanceResult runSolversOnInstance(const Instance& instance,
-                                    const std::vector<std::string>& solvers,
-                                    const SolverOptions& options = {});
-
-/// Compatibility wrapper: the suite selection with `params` mapped onto
-/// the solver options bag.
-InstanceResult runAllOnInstance(const Instance& instance,
-                                const CaWoParams& params = {});
-
-/// Build every instance and run the given solvers; `threads == 0` means
-/// hardware concurrency. Results are ordered like `specs`.
-std::vector<InstanceResult> runSuite(const std::vector<InstanceSpec>& specs,
-                                     const std::vector<std::string>& solvers,
-                                     const SolverOptions& options = {},
-                                     unsigned threads = 0);
-
-/// Compatibility wrapper: the suite selection with `params` mapped onto
-/// the solver options bag.
-std::vector<InstanceResult> runSuite(const std::vector<InstanceSpec>& specs,
-                                     const CaWoParams& params = {},
-                                     unsigned threads = 0);
-
-/// Translate legacy CaWoSched tuning parameters into the options bag
-/// understood by the CaWoSched solver adapters.
-SolverOptions solverOptionsFrom(const CaWoParams& params);
-
-/// The paper's default experiment grid: every (scenario × deadline factor)
-/// combination — 16 power profiles per workflow/cluster pair.
-std::vector<InstanceSpec> fullGrid(WorkflowFamily family, int targetTasks,
-                                   int nodesPerType, std::uint64_t seed,
-                                   int numIntervals = 24);
 
 } // namespace cawo

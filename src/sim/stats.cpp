@@ -7,22 +7,6 @@
 
 namespace cawo {
 
-CostMatrix toCostMatrix(const std::vector<InstanceResult>& results) {
-  CostMatrix m;
-  CAWO_REQUIRE(!results.empty(), "no results");
-  for (const AlgoRun& run : results.front().runs)
-    m.algorithms.push_back(run.algorithm);
-  for (const InstanceResult& r : results) {
-    CAWO_REQUIRE(r.runs.size() == m.algorithms.size(),
-                 "inconsistent algorithm sets across instances");
-    std::vector<Cost> row;
-    row.reserve(r.runs.size());
-    for (const AlgoRun& run : r.runs) row.push_back(run.cost);
-    m.costs.push_back(std::move(row));
-  }
-  return m;
-}
-
 std::vector<std::vector<int>> rankDistribution(const CostMatrix& m) {
   const std::size_t A = m.numAlgorithms();
   std::vector<std::vector<int>> counts(A, std::vector<int>(A, 0));

@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/runner.hpp"
 #include "util/types.hpp"
 
 /// \file stats.hpp
@@ -22,9 +21,6 @@ struct CostMatrix {
   std::size_t numInstances() const { return costs.size(); }
   std::size_t numAlgorithms() const { return algorithms.size(); }
 };
-
-/// Assemble the matrix from suite results (algorithms in run order).
-CostMatrix toCostMatrix(const std::vector<InstanceResult>& results);
 
 /// Competition ranking ("1224"): on each instance an algorithm's rank is
 /// 1 + (number of algorithms with strictly smaller cost). Returns

@@ -14,7 +14,7 @@
 
 /// \file parallel.hpp
 /// Shared threading helpers: `parallelFor` runs an index-addressed job
-/// list across hardware threads (suite runner, campaign engine, CLI), and
+/// list across hardware threads (campaign engine, CLI), and
 /// `WorkerPool` is a persistent pool with a *bounded* job queue — the
 /// serve daemon's admission queue + worker pool (src/serve) is built on
 /// it. Determinism is the caller's business (our jobs write to disjoint

@@ -1,13 +1,64 @@
-#include "core/power_timeline_map.hpp"
+#pragma once
+
+// Test oracle: the historical `std::map<Time, Segment>`-backed power
+// timeline, retained verbatim as the property-test oracle for the flat
+// array-backed `PowerTimeline`. Every cost is an exact 64-bit integer and
+// both implementations accumulate per-segment terms left to right, so the
+// two must agree bit-for-bit on `totalCost`, `costInRange`, `moveDelta` and
+// `peekMoveDelta` over any trace of operations — the randomized
+// trace-equivalence test in tests/test_power_timeline.cpp pins exactly
+// that. Not used by any solver.
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 
+#include "core/power_profile.hpp"
 #include "util/require.hpp"
+#include "util/types.hpp"
 
-namespace cawo {
+namespace cawo::oracle {
 
-MapPowerTimeline::MapPowerTimeline(const PowerProfile& profile,
-                                   Power basePower)
+class MapPowerTimeline {
+public:
+  MapPowerTimeline(const PowerProfile& profile, Power basePower);
+
+  void addLoad(Time a, Time b, Power work);
+  void removeLoad(Time a, Time b, Power work);
+
+  Cost totalCost() const { return total_; }
+  Cost costInRange(Time a, Time b) const;
+
+  /// Mutate-and-revert probe (the historical `moveDelta`): leaves the
+  /// totals unchanged but permanently accumulates split boundaries — the
+  /// residue leak the flat implementation fixes.
+  Cost moveDelta(Time a, Time b, Time a2, Time b2, Power work);
+
+  /// Read-only probe over the affected segment pieces.
+  Cost peekMoveDelta(Time a, Time b, Time a2, Time b2, Power work) const;
+
+  Time horizon() const { return horizon_; }
+  std::size_t numSegments() const { return segments_.size(); }
+
+private:
+  struct Segment {
+    Power active = 0;
+    Power green = 0;
+  };
+
+  using SegMap = std::map<Time, Segment>;
+
+  void splitAt(Time t);
+  Cost segmentCost(SegMap::const_iterator it) const;
+
+  SegMap segments_; // key = segment begin; a sentinel at `horizon_` ends it
+  Power base_ = 0;
+  Time horizon_ = 0;
+  Cost total_ = 0;
+};
+
+inline MapPowerTimeline::MapPowerTimeline(const PowerProfile& profile,
+                                          Power basePower)
     : base_(basePower), horizon_(profile.horizon()) {
   CAWO_REQUIRE(basePower >= 0, "negative base power");
   CAWO_REQUIRE(horizon_ > 0, "profile has an empty horizon");
@@ -18,14 +69,14 @@ MapPowerTimeline::MapPowerTimeline(const PowerProfile& profile,
     total_ += segmentCost(it);
 }
 
-Cost MapPowerTimeline::segmentCost(SegMap::const_iterator it) const {
+inline Cost MapPowerTimeline::segmentCost(SegMap::const_iterator it) const {
   const auto next = std::next(it);
   const Time len = next->first - it->first;
   const Power over = base_ + it->second.active - it->second.green;
   return over > 0 ? static_cast<Cost>(over) * len : 0;
 }
 
-void MapPowerTimeline::splitAt(Time t) {
+inline void MapPowerTimeline::splitAt(Time t) {
   if (t <= 0 || t >= horizon_) return;
   auto it = segments_.lower_bound(t);
   if (it != segments_.end() && it->first == t) return;
@@ -34,7 +85,7 @@ void MapPowerTimeline::splitAt(Time t) {
   // The two halves carry the same power values, so total_ is unchanged.
 }
 
-void MapPowerTimeline::addLoad(Time a, Time b, Power work) {
+inline void MapPowerTimeline::addLoad(Time a, Time b, Power work) {
   if (a >= b || work == 0) return;
   CAWO_REQUIRE(a >= 0 && b <= horizon_, "load outside horizon");
   splitAt(a);
@@ -47,11 +98,11 @@ void MapPowerTimeline::addLoad(Time a, Time b, Power work) {
   }
 }
 
-void MapPowerTimeline::removeLoad(Time a, Time b, Power work) {
+inline void MapPowerTimeline::removeLoad(Time a, Time b, Power work) {
   addLoad(a, b, -work);
 }
 
-Cost MapPowerTimeline::costInRange(Time a, Time b) const {
+inline Cost MapPowerTimeline::costInRange(Time a, Time b) const {
   if (a >= b) return 0;
   CAWO_REQUIRE(a >= 0 && b <= horizon_, "range outside horizon");
   Cost cost = 0;
@@ -67,8 +118,8 @@ Cost MapPowerTimeline::costInRange(Time a, Time b) const {
   return cost;
 }
 
-Cost MapPowerTimeline::peekMoveDelta(Time a, Time b, Time a2, Time b2,
-                                     Power work) const {
+inline Cost MapPowerTimeline::peekMoveDelta(Time a, Time b, Time a2,
+                                            Time b2, Power work) const {
   const bool hasOld = a < b;
   const bool hasNew = a2 < b2;
   if (work == 0 || (!hasOld && !hasNew) ||
@@ -119,8 +170,8 @@ Cost MapPowerTimeline::peekMoveDelta(Time a, Time b, Time a2, Time b2,
   return delta;
 }
 
-Cost MapPowerTimeline::moveDelta(Time a, Time b, Time a2, Time b2,
-                                 Power work) {
+inline Cost MapPowerTimeline::moveDelta(Time a, Time b, Time a2, Time b2,
+                                        Power work) {
   const Cost before = total_;
   removeLoad(a, b, work);
   addLoad(a2, b2, work);
@@ -132,4 +183,4 @@ Cost MapPowerTimeline::moveDelta(Time a, Time b, Time a2, Time b2,
   return after - before;
 }
 
-} // namespace cawo
+} // namespace cawo::oracle

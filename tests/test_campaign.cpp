@@ -1,8 +1,8 @@
 // The experiment campaign engine (src/exp): JSON writer/parser round
 // trips, campaign spec parsing from key=value and JSON text, cross-product
 // expansion, the schedule-independent carbon lower bound, end-to-end
-// campaign runs with bit-for-bit parity against the suite runner, and the
-// stability of the emitted record schema (golden key list).
+// campaign runs with bit-for-bit parity against direct registry solves,
+// and the stability of the emitted record schema (golden key list).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "exp/json.hpp"
 #include "profile/scenario.hpp"
 #include "sim/runner.hpp"
+#include "solver/registry.hpp"
 #include "test_util.hpp"
 #include "util/require.hpp"
 
@@ -273,28 +274,33 @@ TEST(CampaignRun, RecordsMatchTheSuiteRunnerBitForBit) {
   const CampaignSpec spec = tinySpec();
   const CampaignOutcome outcome = runCampaign(spec);
 
-  ASSERT_EQ(outcome.results.size(), 8u);
+  ASSERT_EQ(outcome.numInstances, 8u);
   ASSERT_EQ(outcome.records.size(), 8u * 3);
 
-  // Every overlapping cell must match runSolversOnInstance exactly.
+  // Every cell must match a direct registry solve on a freshly built
+  // instance without a shared SolveContext.
   const std::vector<InstanceSpec> cells = expandCampaign(spec);
+  const SolverRegistry& registry = SolverRegistry::global();
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Instance inst = buildInstance(cells[i]);
-    const InstanceResult expected =
-        runSolversOnInstance(inst, outcome.solvers);
-    ASSERT_EQ(expected.runs.size(), 3u);
+    SolveRequest request;
+    request.gc = &inst.gc;
+    request.profile = &inst.profile;
+    request.deadline = inst.deadline;
+    request.graph = &inst.graph;
+    request.platform = &inst.platform;
     for (std::size_t s = 0; s < 3; ++s) {
-      const CampaignRecord& record = outcome.records[i * 3 + s];
-      EXPECT_EQ(record.solver, expected.runs[s].algorithm);
-      EXPECT_EQ(record.cost, expected.runs[s].cost)
+      const CampaignRecord& record = outcome.instanceCells(i)[s];
+      EXPECT_EQ(record.solver, outcome.solvers[s]);
+      const SolveResult expected =
+          registry.create(outcome.solvers[s])->solve(request);
+      EXPECT_EQ(record.cost, expected.cost)
           << record.instance << " / " << record.solver
-          << " diverged from the suite runner";
+          << " diverged from a direct solve";
       EXPECT_TRUE(record.feasible);
       EXPECT_FALSE(record.skipped);
       EXPECT_LE(record.lowerBound, record.cost);
-      EXPECT_EQ(record.baselineCost, outcome.records[i * 3].cost);
-      // The runner-compatible view carries the same numbers.
-      EXPECT_EQ(outcome.results[i].runs[s].cost, expected.runs[s].cost);
+      EXPECT_EQ(record.baselineCost, outcome.instanceCells(i)[0].cost);
     }
   }
 }
@@ -367,9 +373,7 @@ TEST(CampaignRun, SkippedSolversYieldSkippedRecords) {
   EXPECT_TRUE(std::isnan(outcome.records[1].ratioVsBaseline));
   ASSERT_EQ(outcome.summaries.size(), 2u);
   EXPECT_EQ(outcome.summaries[1].instances, 0);
-  // The suite-compatible view only lists solvers that ran.
-  ASSERT_EQ(outcome.results.size(), 1u);
-  EXPECT_EQ(outcome.results[0].runs.size(), 1u);
+  EXPECT_EQ(outcome.numInstances, 1u);
 }
 
 TEST(CampaignRun, PhaseSplitAndLocalSearchStatsAreSurfaced) {

@@ -4,11 +4,13 @@
 
 #include "core/asap.hpp"
 #include "core/carbon_cost.hpp"
+#include "oracles/carbon_cost_reference.hpp"
 #include "test_util.hpp"
 
 namespace cawo {
 namespace {
 
+using oracle::evaluateCostReference;
 using testing::makeChainGc;
 using testing::makeGc;
 using testing::makeIndependentGc;

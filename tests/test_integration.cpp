@@ -1,16 +1,20 @@
 // Cross-module integration tests: the full paper pipeline at small scale,
-// including the suite runner and the statistics used by the figures.
+// including campaign runs and the statistics used by the figures.
 
 #include <gtest/gtest.h>
 
 #include "core/asap.hpp"
 #include "core/carbon_cost.hpp"
+#include "exp/campaign_runner.hpp"
 #include "sim/instance.hpp"
-#include "sim/runner.hpp"
 #include "sim/stats.hpp"
+#include "test_util.hpp"
 
 namespace cawo {
 namespace {
+
+using testing::expectAllFeasible;
+using testing::singleInstanceCampaign;
 
 TEST(Integration, InstanceBuildIsFullyDeterministic) {
   InstanceSpec spec;
@@ -28,10 +32,13 @@ TEST(Integration, InstanceBuildIsFullyDeterministic) {
   ASSERT_EQ(a.profile.numIntervals(), b.profile.numIntervals());
   for (std::size_t j = 0; j < a.profile.numIntervals(); ++j)
     EXPECT_EQ(a.profile.interval(j).green, b.profile.interval(j).green);
-  const InstanceResult ra = runAllOnInstance(a);
-  const InstanceResult rb = runAllOnInstance(b);
-  for (std::size_t i = 0; i < ra.runs.size(); ++i)
-    EXPECT_EQ(ra.runs[i].cost, rb.runs[i].cost) << ra.runs[i].algorithm;
+  const CampaignOutcome ra = runCampaign(singleInstanceCampaign(spec));
+  const CampaignOutcome rb = runCampaign(singleInstanceCampaign(spec));
+  expectAllFeasible(ra);
+  expectAllFeasible(rb);
+  ASSERT_EQ(ra.records.size(), rb.records.size());
+  for (std::size_t i = 0; i < ra.records.size(); ++i)
+    EXPECT_EQ(ra.records[i].cost, rb.records[i].cost) << ra.records[i].solver;
 }
 
 TEST(Integration, DeadlineEqualsFactorTimesAsapMakespan) {
@@ -51,41 +58,23 @@ TEST(Integration, TightDeadlineStillYieldsValidSchedules) {
   spec.nodesPerType = 1;
   spec.deadlineFactor = 1.0; // D itself — zero slack on the critical path
   spec.seed = 9;
-  const Instance inst = buildInstance(spec);
-  const InstanceResult result = runAllOnInstance(inst);
-  // The runner validates every schedule internally; reaching here with 17
-  // results is the assertion.
-  EXPECT_EQ(result.runs.size(), 17u);
-}
-
-TEST(Integration, RunSuiteMatchesSequentialExecution) {
-  std::vector<InstanceSpec> specs;
-  for (const char* scenario : {"S1", "S2"}) {
-    InstanceSpec spec;
-    spec.targetTasks = 40;
-    spec.nodesPerType = 1;
-    spec.scenario = scenario;
-    spec.deadlineFactor = 2.0;
-    spec.seed = 31;
-    specs.push_back(spec);
+  const CampaignOutcome outcome = runCampaign(singleInstanceCampaign(spec));
+  ASSERT_EQ(outcome.records.size(), 17u);
+  for (const CampaignRecord& r : outcome.records) {
+    EXPECT_FALSE(r.skipped) << r.solver;
+    EXPECT_TRUE(r.feasible) << r.solver << " produced an invalid schedule";
   }
-  const auto parallel = runSuite(specs, {}, 2);
-  const auto serial = runSuite(specs, {}, 1);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t i = 0; i < parallel.size(); ++i)
-    for (std::size_t a = 0; a < parallel[i].runs.size(); ++a)
-      EXPECT_EQ(parallel[i].runs[a].cost, serial[i].runs[a].cost);
 }
 
-TEST(Integration, FullGridHasSixteenProfiles) {
-  const auto specs = fullGrid(WorkflowFamily::Atacseq, 50, 1, 7);
-  EXPECT_EQ(specs.size(), 16u); // 4 scenarios × 4 deadline factors
-}
-
-TEST(Integration, StatsPipelineRunsOnSuiteResults) {
-  const auto specs = fullGrid(WorkflowFamily::Bacass, 30, 1, 13);
-  const auto results = runSuite(specs);
-  const CostMatrix m = toCostMatrix(results);
+TEST(Integration, StatsPipelineRunsOnCampaignRecords) {
+  CampaignSpec campaign;
+  campaign.families = {WorkflowFamily::Bacass};
+  campaign.tasks = {30};
+  campaign.nodesPerType = {1};
+  campaign.seeds = {13};
+  const CampaignOutcome outcome = runCampaign(campaign);
+  expectAllFeasible(outcome);
+  const CostMatrix m = toCostMatrix(outcome);
   EXPECT_EQ(m.numInstances(), 16u);
   EXPECT_EQ(m.numAlgorithms(), 17u);
 
@@ -105,24 +94,21 @@ TEST(Integration, CarbonAwareVariantsHelpOnLateGreenProfiles) {
   // Shape check behind Figures 4/15: with green power arriving late (S3 has
   // its bump after the start; S1 mid-horizon) and a generous deadline, the
   // best CaWoSched variant should beat ASAP on most instances.
-  std::vector<InstanceSpec> specs;
-  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    InstanceSpec spec;
-    spec.family = WorkflowFamily::Atacseq;
-    spec.targetTasks = 60;
-    spec.nodesPerType = 1;
-    spec.scenario = "S1";
-    spec.deadlineFactor = 3.0;
-    spec.seed = seed;
-    specs.push_back(spec);
-  }
-  const auto results = runSuite(specs);
+  CampaignSpec campaign;
+  campaign.families = {WorkflowFamily::Atacseq};
+  campaign.tasks = {60};
+  campaign.nodesPerType = {1};
+  campaign.scenarios = {"S1"};
+  campaign.deadlineFactors = {3.0};
+  campaign.seeds = {1, 2, 3};
+  const CampaignOutcome outcome = runCampaign(campaign);
+  expectAllFeasible(outcome);
   int wins = 0;
-  for (const auto& r : results) {
-    const Cost asap = r.runs[0].cost;
+  for (std::size_t i = 0; i < outcome.numInstances; ++i) {
+    const auto cells = outcome.instanceCells(i);
+    const Cost asap = cells.front().cost;
     Cost best = asap;
-    for (std::size_t a = 1; a < r.runs.size(); ++a)
-      best = std::min(best, r.runs[a].cost);
+    for (const CampaignRecord& r : cells) best = std::min(best, r.cost);
     if (best < asap || asap == 0) ++wins;
   }
   EXPECT_GE(wins, 2) << "carbon-aware variants should usually beat ASAP";

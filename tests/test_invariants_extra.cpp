@@ -16,14 +16,16 @@
 #include "core/greedy.hpp"
 #include "core/interval_refinement.hpp"
 #include "heft/heft.hpp"
+#include "oracles/carbon_cost_reference.hpp"
 #include "profile/scenario.hpp"
 #include "sim/instance.hpp"
-#include "sim/runner.hpp"
 #include "test_util.hpp"
 #include "workflow/generators.hpp"
 
 namespace cawo {
 namespace {
+
+using oracle::evaluateCostReference;
 
 TEST(GreedyInvariants, StartsLieOnTheCandidateGrid) {
   // Every greedy start must be either an interval begin of the (refined)

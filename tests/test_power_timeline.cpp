@@ -4,12 +4,13 @@
 
 #include "core/carbon_cost.hpp"
 #include "core/power_timeline.hpp"
-#include "core/power_timeline_map.hpp"
+#include "oracles/power_timeline_map.hpp"
 #include "test_util.hpp"
 
 namespace cawo {
 namespace {
 
+using oracle::MapPowerTimeline;
 using testing::randomProfile;
 
 TEST(PowerTimeline, InitialCostIsIdleFloor) {

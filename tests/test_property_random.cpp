@@ -10,12 +10,15 @@
 #include "core/local_search.hpp"
 #include "exact/branch_and_bound.hpp"
 #include "heft/heft.hpp"
+#include "oracles/carbon_cost_reference.hpp"
 #include "profile/scenario.hpp"
 #include "test_util.hpp"
 #include "workflow/generators.hpp"
 
 namespace cawo {
 namespace {
+
+using oracle::evaluateCostReference;
 
 struct RandomPipelineCase {
   EnhancedGraph gc;

@@ -7,8 +7,9 @@
 #include "core/asap.hpp"
 #include "core/carbon_cost.hpp"
 #include "core/cawosched.hpp"
+#include "exp/campaign_runner.hpp"
 #include "sim/instance.hpp"
-#include "sim/runner.hpp"
+#include "test_util.hpp"
 
 namespace cawo {
 namespace {
@@ -26,10 +27,12 @@ TEST(Smoke, EndToEndSmallInstance) {
   EXPECT_GT(inst.gc.numNodes(), inst.graph.numTasks());
   EXPECT_GE(inst.deadline, inst.asapMakespanD);
 
-  const InstanceResult result = runAllOnInstance(inst);
-  ASSERT_EQ(result.runs.size(), 17u); // ASAP + 16 variants
-  for (const AlgoRun& run : result.runs) {
-    EXPECT_GE(run.cost, 0) << run.algorithm;
+  const CampaignOutcome outcome =
+      runCampaign(testing::singleInstanceCampaign(spec));
+  ASSERT_EQ(outcome.records.size(), 17u); // ASAP + 16 variants
+  for (const CampaignRecord& run : outcome.records) {
+    EXPECT_TRUE(run.feasible) << run.solver;
+    EXPECT_GE(run.cost, 0) << run.solver;
   }
 }
 

@@ -10,6 +10,7 @@
 #include "core/asap.hpp"
 #include "core/carbon_cost.hpp"
 #include "core/cawosched.hpp"
+#include "exp/campaign_runner.hpp"
 #include "sim/instance.hpp"
 #include "sim/runner.hpp"
 #include "solver/registry.hpp"
@@ -233,13 +234,15 @@ TEST(SolverApi, RegistryRunnerMatchesLegacyDispatch) {
     legacy.emplace_back(v.name(), evaluateCost(inst.gc, inst.profile, s));
   }
 
-  // Registry path.
-  const InstanceResult result = runAllOnInstance(inst, params);
-  ASSERT_EQ(result.runs.size(), legacy.size());
-  ASSERT_EQ(result.runs.size(), algorithmNames().size());
+  // Registry path, through the campaign runner.
+  const std::vector<CampaignRecord> records =
+      runCampaign(testing::singleInstanceCampaign(smallSpec())).records;
+  ASSERT_EQ(records.size(), legacy.size());
+  ASSERT_EQ(records.size(), suiteSolverNames().size());
   for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(result.runs[i].algorithm, legacy[i].first);
-    EXPECT_EQ(result.runs[i].cost, legacy[i].second)
+    EXPECT_TRUE(records[i].feasible) << legacy[i].first;
+    EXPECT_EQ(records[i].solver, legacy[i].first);
+    EXPECT_EQ(records[i].cost, legacy[i].second)
         << legacy[i].first << " diverged from the legacy dispatch";
   }
 }
@@ -261,7 +264,8 @@ TEST(SolverApi, TuningParametersFlowThroughOptionsBag) {
   request.gc = &inst.gc;
   request.profile = &inst.profile;
   request.deadline = inst.deadline;
-  request.options = solverOptionsFrom(params);
+  request.options.setInt("block-size", params.blockSize)
+      .setInt("ls-radius", params.lsRadius);
   const SolveResult viaRegistry =
       SolverRegistry::global().create("pressWR-LS")->solve(request);
   EXPECT_EQ(viaRegistry.cost, legacy);
@@ -306,17 +310,6 @@ TEST(SolverApi, OutOfRangeTuningOptionsThrow) {
   EXPECT_NO_THROW((void)registry.create("pressWR-LS")->solve(request));
 }
 
-// Broad selections must stay usable on any instance: capability-
-// mismatched solvers are skipped, not fatal.
-TEST(SolverApi, RunnerSkipsIncompatibleSolvers) {
-  const Instance inst = buildInstance(smallSpec());
-  ASSERT_GT(inst.gc.numProcs(), 1);
-  const InstanceResult result =
-      runSolversOnInstance(inst, {"ASAP", "dp"});
-  ASSERT_EQ(result.runs.size(), 1u);
-  EXPECT_EQ(result.runs[0].algorithm, "ASAP");
-}
-
 // The bracket parameter is part of the solver's identity and wins over
 // a conflicting options-bag alpha.
 TEST(SolverApi, BracketAlphaWinsOverOptionsBag) {
@@ -346,13 +339,15 @@ TEST(SolverApi, BracketAlphaWinsOverOptionsBag) {
 }
 
 TEST(SolverApi, SuiteSelectionRunsThroughRunner) {
-  const Instance inst = buildInstance(smallSpec());
-  const InstanceResult picked = runSolversOnInstance(
-      inst, SolverRegistry::global().select("ASAP,pressWR-LS"));
-  ASSERT_EQ(picked.runs.size(), 2u);
-  EXPECT_EQ(picked.runs[0].algorithm, "ASAP");
-  EXPECT_EQ(picked.runs[1].algorithm, "pressWR-LS");
-  EXPECT_LE(picked.runs[1].cost, picked.runs[0].cost);
+  CampaignSpec campaign = testing::singleInstanceCampaign(smallSpec());
+  campaign.algos = "ASAP,pressWR-LS";
+  const CampaignOutcome outcome = runCampaign(campaign);
+  testing::expectAllFeasible(outcome);
+  const std::vector<CampaignRecord>& picked = outcome.records;
+  ASSERT_EQ(picked.size(), 2u);
+  EXPECT_EQ(picked[0].solver, "ASAP");
+  EXPECT_EQ(picked[1].solver, "pressWR-LS");
+  EXPECT_LE(picked[1].cost, picked[0].cost);
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include "util/require.hpp"
 
+#include "exp/campaign_runner.hpp"
 #include "sim/stats.hpp"
 
 namespace cawo {
@@ -101,17 +102,61 @@ TEST(Stats, BoxStatsSingleValue) {
   EXPECT_TRUE(s.outliers.empty());
 }
 
+CampaignRecord cell(Cost cost, bool skipped = false, std::uint64_t seed = 1) {
+  CampaignRecord r;
+  r.cost = cost;
+  r.skipped = skipped;
+  r.spec.seed = seed;
+  return r;
+}
+
+/// An outcome with the given cell labels and instance-major records.
+CampaignOutcome outcomeOf(std::vector<std::string> labels,
+                          std::vector<CampaignRecord> records) {
+  CampaignOutcome o;
+  o.numInstances = records.size() / labels.size();
+  o.solvers = std::move(labels);
+  o.records = std::move(records);
+  return o;
+}
+
 TEST(Stats, ToCostMatrixChecksConsistency) {
-  InstanceResult r1;
-  r1.runs = {{"A", 1, 0.0}, {"B", 2, 0.0}};
-  InstanceResult r2;
-  r2.runs = {{"A", 3, 0.0}};
-  EXPECT_THROW(toCostMatrix({r1, r2}), PreconditionError);
-  EXPECT_THROW(toCostMatrix({}), PreconditionError);
-  const CostMatrix m = toCostMatrix({r1});
+  const std::vector<std::string> labels{"A", "B"};
+  // Every instance must skip the same cells.
+  EXPECT_THROW(toCostMatrix(outcomeOf(
+                   labels, {cell(1), cell(2), cell(3), cell(0, true)})),
+               PreconditionError);
+  EXPECT_THROW(toCostMatrix(outcomeOf(labels, {})), PreconditionError);
+  // Every instance must have all its cells.
+  CampaignOutcome torn = outcomeOf(labels, {cell(1)});
+  torn.numInstances = 1;
+  EXPECT_THROW(toCostMatrix(torn), PreconditionError);
+  const CostMatrix m = toCostMatrix(outcomeOf(labels, {cell(1), cell(2)}));
   EXPECT_EQ(m.numInstances(), 1u);
   EXPECT_EQ(m.numAlgorithms(), 2u);
   EXPECT_EQ(m.costs[0][1], 2);
+}
+
+TEST(Stats, ToCostMatrixLeavesOutSkippedCells) {
+  const CostMatrix m = toCostMatrix(outcomeOf(
+      {"A", "B"}, {cell(1), cell(0, true), cell(4), cell(0, true)}));
+  EXPECT_EQ(m.algorithms, std::vector<std::string>{"A"});
+  ASSERT_EQ(m.numInstances(), 2u);
+  EXPECT_EQ(m.costs[1], std::vector<Cost>{4});
+}
+
+TEST(Stats, ToCostMatrixKeepsOnlyAcceptedInstances) {
+  const CampaignOutcome outcome = outcomeOf(
+      {"A", "B"}, {cell(1, false, 1), cell(2, false, 1), cell(3, false, 2),
+                   cell(4, false, 2)});
+  const CostMatrix m = toCostMatrix(
+      outcome, [](const InstanceSpec& s) { return s.seed == 2; });
+  ASSERT_EQ(m.numInstances(), 1u);
+  EXPECT_EQ(m.costs[0], (std::vector<Cost>{3, 4}));
+  // A filter that keeps nothing leaves no results.
+  EXPECT_THROW(
+      toCostMatrix(outcome, [](const InstanceSpec&) { return false; }),
+      PreconditionError);
 }
 
 } // namespace

@@ -5,13 +5,39 @@
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "core/enhanced_graph.hpp"
 #include "core/power_profile.hpp"
 #include "core/schedule.hpp"
+#include "exp/campaign.hpp"
+#include "exp/campaign_runner.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace cawo::testing {
+
+/// A campaign whose grid is exactly the one instance `spec` (solver
+/// selection: the suite).
+inline CampaignSpec singleInstanceCampaign(const InstanceSpec& spec) {
+  CampaignSpec campaign;
+  campaign.families = {spec.family};
+  campaign.tasks = {spec.targetTasks};
+  campaign.nodesPerType = {spec.nodesPerType};
+  campaign.scenarios = {spec.scenario};
+  campaign.deadlineFactors = {spec.deadlineFactor};
+  campaign.numIntervals = spec.numIntervals;
+  campaign.seeds = {spec.seed};
+  return campaign;
+}
+
+/// Every solver that ran returned a valid schedule: an infeasible record
+/// is a library bug (skipped cells never ran).
+inline void expectAllFeasible(const CampaignOutcome& outcome) {
+  for (const CampaignRecord& r : outcome.records)
+    EXPECT_TRUE(r.skipped || r.feasible)
+        << r.solver << " produced an invalid schedule on " << r.instance;
+}
 
 /// A single-processor chain of the given task lengths (the uniprocessor
 /// setting of Theorem 4.1).

@@ -433,7 +433,7 @@ int runQueryCommand(int argc, const char* const* argv) {
       view.spec.name = reader.spec().name + " [query]";
       view.solvers = matchedLabels;
       view.scenarios = accumulator.scenarios();
-      view.results.resize(reader.numInstances());
+      view.numInstances = reader.numInstances();
       view.summaries = accumulator.finish();
       printCampaignSummary(std::cout, view, true);
     }
