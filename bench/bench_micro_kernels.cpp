@@ -20,7 +20,6 @@
 #include "core/asap.hpp"
 #include "core/budget_tree.hpp"
 #include "core/carbon_cost.hpp"
-#include "core/cawosched.hpp"
 #include "core/est_lst.hpp"
 #include "core/greedy.hpp"
 #include "core/interval_refinement.hpp"
@@ -73,34 +72,11 @@ void BM_EstLst(benchmark::State& state) {
 BENCHMARK(BM_EstLst)->Arg(50)->Arg(200)->Arg(800);
 
 // -----------------------------------------------------------------------
-// Window maintenance: the paper-literal full O(N+E) resweep after every
-// placement versus the incremental WindowState worklist propagation.
-// Both kernels replay the identical placement trace (every node pinned at
-// its current EST in topological order), so the measured gap is purely
-// the maintenance strategy. The perf trajectory across PRs is recorded
-// via --out=BENCH_windows.json (see bench/README.md).
+// Window maintenance: the incremental WindowState worklist propagation
+// replaying a full placement trace (every node pinned at its current EST
+// in topological order). Recorded via --out=BENCH_windows.json (see
+// bench/README.md).
 // -----------------------------------------------------------------------
-void BM_WindowsFull(benchmark::State& state) {
-  const Instance inst = makeInstance(static_cast<int>(state.range(0)));
-  const auto n = static_cast<std::size_t>(inst.gc.numNodes());
-  for (auto _ : state) {
-    std::vector<Time> est = computeEst(inst.gc);
-    std::vector<Time> lst = computeLst(inst.gc, inst.deadline);
-    Schedule partial(inst.gc.numNodes());
-    std::vector<bool> placed(n, false);
-    for (const TaskId v : inst.gc.topoOrder()) {
-      partial.setStart(v, est[static_cast<std::size_t>(v)]);
-      placed[static_cast<std::size_t>(v)] = true;
-      recomputeWindows(inst.gc, inst.deadline, partial, placed, est, lst);
-    }
-    benchmark::DoNotOptimize(est);
-    benchmark::DoNotOptimize(lst);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_WindowsFull)->Arg(100)->Arg(1000)->Arg(5000)
-    ->Unit(benchmark::kMillisecond)->Complexity();
-
 void BM_WindowsIncremental(benchmark::State& state) {
   const Instance inst = makeInstance(static_cast<int>(state.range(0)));
   const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
@@ -165,30 +141,13 @@ BENCHMARK(BM_TraceOverhead)
     ->Unit(benchmark::kMillisecond);
 
 // -----------------------------------------------------------------------
-// Parallel solve core (see DESIGN.md, "Parallel solve core"). Both
-// kernels produce bit-identical schedules at every thread count — the
-// benchmark measures only how fast the same bytes arrive. Threads sweep
+// Parallel solve core (see DESIGN.md, "Parallel solve core"). The kernel
+// produces bit-identical schedules at every thread count — the benchmark
+// measures only how fast the same bytes arrive. Threads sweep
 // {1, 4, hardware}; on single-core boxes the three rows coincide, which
 // is itself the interesting datum (no overhead when there is nothing to
-// win). The speedup table lives in bench/README.md.
+// win).
 // -----------------------------------------------------------------------
-
-// All 16 variants batched over one shared context — the CLI multi-solver
-// and serve suite path. Shared prefix work (windows, score orders,
-// refined intervals) is primed once inside runVariants; the fan-out is
-// across variants.
-void BM_GreedySchedPar(benchmark::State& state) {
-  const Instance inst = makeInstance(static_cast<int>(state.range(0)));
-  const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
-  const std::vector<VariantSpec> variants = greedyOnlyVariants();
-  const auto threads = static_cast<unsigned>(state.range(1));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(runVariants(ctx, variants, {}, threads));
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_GreedySchedPar)
-    ->ArgsProduct({{1000, 5000}, {1, 4, 0 /* 0 = hardware */}})
-    ->Unit(benchmark::kMillisecond);
 
 // Best-of-8 multi-start local search; restart 0 is the unperturbed climb,
 // restarts 1..7 run on independent RNG streams, the merge is by (cost,
@@ -308,47 +267,20 @@ void BM_GenerateProfileTrace(benchmark::State& state) {
 BENCHMARK(BM_GenerateProfileTrace)->Arg(1)->Arg(7);
 
 // -----------------------------------------------------------------------
-// Timeline candidate probes, scalar vs batched. Both kernels evaluate the
-// same local-search-shaped scan — one source interval, `width` contiguous
-// candidate targets — against an identically loaded timeline; items/s is
-// candidates per second. BM_TimelinePeek walks the segment window once
-// per candidate (scalar peekMoveDelta), BM_TimelineBatch serves the whole
-// sweep from one prefix table (peekMoveDeltas). The perf trajectory is
-// recorded via --out=BENCH_timeline.json (see bench/README.md).
+// Timeline candidate probes: one local-search-shaped scan — one source
+// interval, `width` contiguous candidate targets — served from one prefix
+// table (peekMoveDeltas); items/s is candidates per second. Recorded via
+// --out=BENCH_timeline.json (see bench/README.md).
 // -----------------------------------------------------------------------
-PowerTimeline loadedProbeTimeline(PowerProfile& profile) {
-  for (int j = 0; j < 24; ++j) profile.appendInterval(100, j * 7 % 50);
-  PowerTimeline timeline(profile, 100);
-  Rng rng(9);
-  for (int i = 0; i < 200; ++i) {
-    const Time a = rng.uniformInt(0, 2300);
-    timeline.addLoad(a, a + rng.uniformInt(1, 80), rng.uniformInt(1, 20));
-  }
-  return timeline;
-}
-
-void BM_TimelinePeek(benchmark::State& state) {
-  PowerProfile profile;
-  const PowerTimeline timeline = loadedProbeTimeline(profile);
-  const Time width = state.range(0);
-  constexpr Time kLen = 60;
-  Rng rng(17);
-  for (auto _ : state) {
-    const Time cur = rng.uniformInt(0, profile.horizon() - kLen);
-    const Time lo = rng.uniformInt(0, profile.horizon() - kLen - width);
-    Cost best = 0;
-    for (Time t = lo; t < lo + width; ++t)
-      best = std::min(best,
-                      timeline.peekMoveDelta(cur, cur + kLen, t, t + kLen, 5));
-    benchmark::DoNotOptimize(best);
-  }
-  state.SetItemsProcessed(state.iterations() * width);
-}
-BENCHMARK(BM_TimelinePeek)->Arg(64)->Arg(512);
-
 void BM_TimelineBatch(benchmark::State& state) {
   PowerProfile profile;
-  const PowerTimeline timeline = loadedProbeTimeline(profile);
+  for (int j = 0; j < 24; ++j) profile.appendInterval(100, j * 7 % 50);
+  PowerTimeline timeline(profile, 100);
+  Rng loads(9);
+  for (int i = 0; i < 200; ++i) {
+    const Time a = loads.uniformInt(0, 2300);
+    timeline.addLoad(a, a + loads.uniformInt(1, 80), loads.uniformInt(1, 20));
+  }
   const Time width = state.range(0);
   constexpr Time kLen = 60;
   Rng rng(17);
@@ -369,23 +301,6 @@ void BM_TimelineBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * width);
 }
 BENCHMARK(BM_TimelineBatch)->Arg(64)->Arg(512);
-
-void BM_PowerTimelineMoveDelta(benchmark::State& state) {
-  PowerProfile profile;
-  for (int j = 0; j < 24; ++j) profile.appendInterval(100, j * 7 % 50);
-  PowerTimeline timeline(profile, 100);
-  Rng rng(9);
-  for (int i = 0; i < 200; ++i) {
-    const Time a = rng.uniformInt(0, 2300);
-    timeline.addLoad(a, a + rng.uniformInt(1, 80), rng.uniformInt(1, 20));
-  }
-  for (auto _ : state) {
-    const Time a = rng.uniformInt(0, 2200);
-    const Time b = rng.uniformInt(0, 2200);
-    benchmark::DoNotOptimize(timeline.moveDelta(a, a + 60, b, b + 60, 5));
-  }
-}
-BENCHMARK(BM_PowerTimelineMoveDelta);
 
 // -----------------------------------------------------------------------
 // Campaign result store: append throughput (records/s streamed through

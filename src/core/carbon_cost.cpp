@@ -1,6 +1,7 @@
 #include "core/carbon_cost.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -8,141 +9,110 @@ namespace cawo {
 
 namespace {
 
-/// Sorted unique breakpoints: all interval boundaries plus all task start
-/// and end events, restricted to [0, end of schedule/profile].
-struct SweepData {
-  std::vector<Time> breakpoints;
-  std::vector<std::pair<Time, Power>> deltas; // (time, +/- work power)
-};
+/// Power events (time, ±P_work) of a trajectory, sorted by time.
+using PowerEvents = std::vector<std::pair<Time, Power>>;
 
-SweepData prepareSweep(const EnhancedGraph& gc, const PowerProfile& profile,
-                       const Schedule& s) {
-  SweepData data;
-  data.breakpoints.reserve(profile.numIntervals() + 1 +
-                           2 * static_cast<std::size_t>(gc.numNodes()));
-  for (Time b : profile.boundaries()) data.breakpoints.push_back(b);
-
-  data.deltas.reserve(2 * static_cast<std::size_t>(gc.numNodes()));
-  for (TaskId u = 0; u < gc.numNodes(); ++u) {
-    CAWO_REQUIRE(s.isSet(u), "schedule is incomplete");
-    if (gc.len(u) == 0) continue; // zero-length nodes draw no power
-    const Time a = s.start(u);
-    const Time b = s.end(u, gc);
-    CAWO_REQUIRE(a >= 0, "negative start time");
-    CAWO_REQUIRE(b <= profile.horizon(),
-                 "schedule exceeds the profile horizon");
-    const Power w = gc.workPower(gc.procOf(u));
-    data.deltas.emplace_back(a, w);
-    data.deltas.emplace_back(b, -w);
-    data.breakpoints.push_back(a);
-    data.breakpoints.push_back(b);
-  }
-  std::sort(data.breakpoints.begin(), data.breakpoints.end());
-  data.breakpoints.erase(
-      std::unique(data.breakpoints.begin(), data.breakpoints.end()),
-      data.breakpoints.end());
-  std::sort(data.deltas.begin(), data.deltas.end());
-  return data;
-}
-
-/// Sweep over explicit (start, duration) events against `profile`,
-/// restricted to [0, upTo). Nodes without a start are skipped (partial
-/// trajectories); contributions past the profile horizon are billed with a
-/// green budget of 0. The breakpoint/delta machinery is the same as
-/// `prepareSweep`, so complete in-horizon trajectories with
-/// durations == ω(u) cost exactly what `evaluateCost` reports.
-Cost sweepWithDurations(const EnhancedGraph& gc, const PowerProfile& profile,
-                        const Schedule& s, const std::vector<Time>& durations,
-                        Time upTo, bool requireComplete) {
-  CAWO_REQUIRE(durations.size() ==
-                   static_cast<std::size_t>(gc.numNodes()),
-               "durations vector does not match the graph");
-  if (upTo <= 0) return 0;
-
-  SweepData data;
-  data.breakpoints.reserve(profile.numIntervals() + 2 +
-                           2 * static_cast<std::size_t>(gc.numNodes()));
-  for (const Time b : profile.boundaries())
-    if (b <= upTo) data.breakpoints.push_back(b);
-  data.breakpoints.push_back(0);
-  data.breakpoints.push_back(upTo);
-
-  data.deltas.reserve(2 * static_cast<std::size_t>(gc.numNodes()));
+/// Collect the events of every node of `s` that draws power inside
+/// [0, upTo), node u running for `durationOf(u)` from its start.
+/// Zero-length nodes draw no power. For a `prefix` of a trajectory, nodes
+/// without a start are skipped and runs are cut at `upTo`; otherwise
+/// every node must have a start and finish by `upTo`.
+template <class DurationOf>
+PowerEvents collectEvents(const EnhancedGraph& gc, const Schedule& s,
+                          Time upTo, bool prefix, DurationOf durationOf) {
+  PowerEvents events;
+  events.reserve(2 * static_cast<std::size_t>(gc.numNodes()));
   for (TaskId u = 0; u < gc.numNodes(); ++u) {
     if (!s.isSet(u)) {
-      CAWO_REQUIRE(!requireComplete, "schedule is incomplete");
+      CAWO_REQUIRE(prefix, "schedule is incomplete");
       continue;
     }
-    const Time d = durations[static_cast<std::size_t>(u)];
+    const Time d = durationOf(u);
     CAWO_REQUIRE(d >= 0, "negative duration");
-    if (d == 0) continue; // zero-length nodes draw no power
+    if (d == 0) continue;
     const Time a = s.start(u);
     CAWO_REQUIRE(a >= 0, "negative start time");
-    const Time b = std::min(a + d, upTo);
+    Time b = a + d;
+    if (prefix)
+      b = std::min(b, upTo);
+    else
+      CAWO_REQUIRE(b <= upTo, "schedule exceeds the profile horizon");
     if (a >= b) continue; // entirely past the window
     const Power w = gc.workPower(gc.procOf(u));
-    data.deltas.emplace_back(a, w);
-    data.deltas.emplace_back(b, -w);
-    data.breakpoints.push_back(a);
-    data.breakpoints.push_back(b);
+    events.emplace_back(a, w);
+    events.emplace_back(b, -w);
   }
-  std::sort(data.breakpoints.begin(), data.breakpoints.end());
-  data.breakpoints.erase(
-      std::unique(data.breakpoints.begin(), data.breakpoints.end()),
-      data.breakpoints.end());
-  std::sort(data.deltas.begin(), data.deltas.end());
+  std::sort(events.begin(), events.end());
+  return events;
+}
 
+/// The one sweep of Appendix A.1: walk [0, upTo) in constant-power
+/// pieces, cut at every event and every profile boundary, and hand each
+/// piece to `visit(interval, length, drawn, green)` — the profile
+/// interval it lies in (the last one past the horizon), its length, the
+/// power drawn (idle floor plus running work) and the green budget
+/// (0 past the profile horizon, where everything drawn is brown).
+template <class Visit>
+void forEachPiece(const EnhancedGraph& gc, const PowerProfile& profile,
+                  const PowerEvents& events, Time upTo, Visit visit) {
   const Power base = gc.totalIdlePower();
   const Time horizon = profile.horizon();
-  Cost total = 0;
-  Power active = 0;
-  std::size_t di = 0;
-  std::size_t interval = 0;
   const auto intervals = profile.intervals();
-
-  for (std::size_t k = 0; k + 1 < data.breakpoints.size(); ++k) {
-    const Time t0 = data.breakpoints[k];
-    const Time t1 = data.breakpoints[k + 1];
-    while (di < data.deltas.size() && data.deltas[di].first <= t0)
-      active += data.deltas[di++].second;
-    while (interval + 1 < intervals.size() && intervals[interval].end <= t0)
+  Power active = 0;
+  std::size_t ei = 0;
+  std::size_t interval = 0;
+  for (Time t = 0; t < upTo;) {
+    while (ei < events.size() && events[ei].first <= t)
+      active += events[ei++].second;
+    while (interval + 1 < intervals.size() && intervals[interval].end <= t)
       ++interval;
-    const Power green = t0 >= horizon ? 0 : intervals[interval].green;
-    const Power over = base + active - green;
-    if (over > 0) total += static_cast<Cost>(over) * (t1 - t0);
+    Time next = upTo;
+    if (ei < events.size()) next = std::min(next, events[ei].first);
+    const bool inHorizon = t < horizon;
+    if (inHorizon) next = std::min(next, intervals[interval].end);
+    visit(interval, next - t, base + active,
+          inHorizon ? intervals[interval].green : Power{0});
+    t = next;
   }
+}
+
+/// Brown energy Σ max(drawn − green, 0) over the pieces of [0, upTo).
+Cost brownCost(const EnhancedGraph& gc, const PowerProfile& profile,
+               const PowerEvents& events, Time upTo) {
+  Cost total = 0;
+  forEachPiece(gc, profile, events, upTo,
+               [&](std::size_t, Time length, Power drawn, Power green) {
+                 if (drawn > green)
+                   total += static_cast<Cost>(drawn - green) * length;
+               });
   return total;
+}
+
+/// A planned trajectory: every node runs for ω(u) inside the horizon.
+PowerEvents plannedEvents(const EnhancedGraph& gc,
+                          const PowerProfile& profile, const Schedule& s) {
+  return collectEvents(gc, s, profile.horizon(), /*prefix=*/false,
+                       [&](TaskId u) { return gc.len(u); });
+}
+
+void requireDurations(const EnhancedGraph& gc,
+                      const std::vector<Time>& durations) {
+  CAWO_REQUIRE(durations.size() == static_cast<std::size_t>(gc.numNodes()),
+               "durations vector does not match the graph");
 }
 
 } // namespace
 
 Cost evaluateCost(const EnhancedGraph& gc, const PowerProfile& profile,
                   const Schedule& s) {
-  const SweepData data = prepareSweep(gc, profile, s);
-  const Power base = gc.totalIdlePower();
-
-  Cost total = 0;
-  Power active = 0;
-  std::size_t di = 0;
-  std::size_t interval = 0;
-  const auto intervals = profile.intervals();
-
-  for (std::size_t k = 0; k + 1 < data.breakpoints.size(); ++k) {
-    const Time t0 = data.breakpoints[k];
-    const Time t1 = data.breakpoints[k + 1];
-    while (di < data.deltas.size() && data.deltas[di].first <= t0)
-      active += data.deltas[di++].second;
-    while (interval + 1 < intervals.size() && intervals[interval].end <= t0)
-      ++interval;
-    const Power over = base + active - intervals[interval].green;
-    if (over > 0) total += static_cast<Cost>(over) * (t1 - t0);
-  }
-  return total;
+  return brownCost(gc, profile, plannedEvents(gc, profile, s),
+                   profile.horizon());
 }
 
 Cost evaluateCostWithDurations(const EnhancedGraph& gc,
                                const PowerProfile& profile, const Schedule& s,
                                const std::vector<Time>& durations) {
+  requireDurations(gc, durations);
   // Bill through the later of the profile horizon (idle floor) and the
   // trajectory's last completion (overshoot is all brown).
   Time upTo = profile.horizon();
@@ -150,15 +120,21 @@ Cost evaluateCostWithDurations(const EnhancedGraph& gc,
     CAWO_REQUIRE(s.isSet(u), "schedule is incomplete");
     upTo = std::max(upTo, s.start(u) + durations[static_cast<std::size_t>(u)]);
   }
-  return sweepWithDurations(gc, profile, s, durations, upTo,
-                            /*requireComplete=*/true);
+  const PowerEvents events = collectEvents(
+      gc, s, upTo, /*prefix=*/false,
+      [&](TaskId u) { return durations[static_cast<std::size_t>(u)]; });
+  return brownCost(gc, profile, events, upTo);
 }
 
 Cost evaluateCostPrefix(const EnhancedGraph& gc, const PowerProfile& profile,
                         const Schedule& s, const std::vector<Time>& durations,
                         Time upTo) {
-  return sweepWithDurations(gc, profile, s, durations, upTo,
-                            /*requireComplete=*/false);
+  requireDurations(gc, durations);
+  if (upTo <= 0) return 0;
+  const PowerEvents events = collectEvents(
+      gc, s, upTo, /*prefix=*/true,
+      [&](TaskId u) { return durations[static_cast<std::size_t>(u)]; });
+  return brownCost(gc, profile, events, upTo);
 }
 
 Cost carbonLowerBound(const EnhancedGraph& gc, const PowerProfile& profile) {
@@ -179,37 +155,22 @@ Cost carbonLowerBound(const EnhancedGraph& gc, const PowerProfile& profile) {
 CostBreakdown evaluateCostBreakdown(const EnhancedGraph& gc,
                                     const PowerProfile& profile,
                                     const Schedule& s) {
-  const SweepData data = prepareSweep(gc, profile, s);
-  const Power base = gc.totalIdlePower();
-
   CostBreakdown out;
   out.perInterval.assign(profile.numIntervals(), 0);
-  Power active = 0;
-  std::size_t di = 0;
-  std::size_t interval = 0;
-  const auto intervals = profile.intervals();
-
-  for (std::size_t k = 0; k + 1 < data.breakpoints.size(); ++k) {
-    const Time t0 = data.breakpoints[k];
-    const Time t1 = data.breakpoints[k + 1];
-    while (di < data.deltas.size() && data.deltas[di].first <= t0)
-      active += data.deltas[di++].second;
-    while (interval + 1 < intervals.size() && intervals[interval].end <= t0)
-      ++interval;
-    const Power total = base + active;
-    out.peakPower = std::max(out.peakPower, total);
-    const Power green = intervals[interval].green;
-    const Time span = t1 - t0;
-    const Power over = total - green;
-    if (over > 0) {
-      out.perInterval[interval] += static_cast<Cost>(over) * span;
-      out.total += static_cast<Cost>(over) * span;
-      out.brownEnergyUsed += static_cast<Cost>(over) * span;
-      out.greenEnergyUsed += static_cast<Cost>(green) * span;
-    } else {
-      out.greenEnergyUsed += static_cast<Cost>(total) * span;
-    }
-  }
+  forEachPiece(gc, profile, plannedEvents(gc, profile, s), profile.horizon(),
+               [&](std::size_t interval, Time length, Power drawn,
+                   Power green) {
+                 out.peakPower = std::max(out.peakPower, drawn);
+                 if (drawn > green) {
+                   const Cost brown = static_cast<Cost>(drawn - green) * length;
+                   out.perInterval[interval] += brown;
+                   out.total += brown;
+                   out.brownEnergyUsed += brown;
+                   out.greenEnergyUsed += static_cast<Cost>(green) * length;
+                 } else {
+                   out.greenEnergyUsed += static_cast<Cost>(drawn) * length;
+                 }
+               });
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include "core/solve_context.hpp"
 #include "obs/trace.hpp"
-#include "util/parallel.hpp"
 #include "util/require.hpp"
 #include "util/timer.hpp"
 
@@ -34,13 +33,6 @@ std::vector<VariantSpec> allVariants() {
       }
     }
   }
-  return out;
-}
-
-std::vector<VariantSpec> greedyOnlyVariants() {
-  std::vector<VariantSpec> out;
-  for (const VariantSpec& v : allVariants())
-    if (!v.localSearch) out.push_back(v);
   return out;
 }
 
@@ -82,48 +74,6 @@ Schedule runVariant(const SolveContext& ctx, const VariantSpec& spec,
     }
   }
   return s;
-}
-
-std::vector<Schedule> runVariants(const SolveContext& ctx,
-                                  const std::vector<VariantSpec>& specs,
-                                  const CaWoParams& params, unsigned threads,
-                                  std::vector<VariantRunStats>* stats) {
-  if (stats) stats->assign(specs.size(), VariantRunStats{});
-
-  // Prime every shared artifact the fan-out will read — after this the
-  // frozen context serves cache hits only.
-  {
-    obs::TraceScope prime("context.prime");
-    (void)ctx.initialEst();
-    (void)ctx.initialLst();
-    (void)ctx.asapMakespan();
-    (void)ctx.sumWorkPower();
-    bool anyRefined = false;
-    bool anyUnrefined = false;
-    for (const VariantSpec& spec : specs) {
-      anyRefined = anyRefined || spec.refined;
-      anyUnrefined = anyUnrefined || !spec.refined;
-      (void)ctx.scoreOrder(ScoreOptions{spec.base, spec.weighted});
-    }
-    if (anyRefined) {
-      (void)ctx.refinedIntervals(params.blockSize);
-      (void)ctx.budgetTreePrototype(true, params.blockSize);
-    }
-    if (anyUnrefined) (void)ctx.budgetTreePrototype(false, params.blockSize);
-  }
-
-  // The variant fan-out owns the workers; keep the kernels inside each
-  // variant serial so a 16-way batch never oversubscribes the machine.
-  CaWoParams inner = params;
-  if (threads != 1) inner.threads = 1;
-
-  std::vector<Schedule> out(specs.size());
-  const SolveContextFreezeGuard freeze(ctx);
-  parallelFor(specs.size(), threads, [&](std::size_t i) {
-    out[i] = runVariant(ctx, specs[i], inner,
-                        stats ? &(*stats)[i] : nullptr);
-  });
-  return out;
 }
 
 } // namespace cawo

@@ -41,9 +41,6 @@ struct VariantSpec {
 /// (slack, slackW, slackR, slackWR, press, ..., then the same with -LS).
 std::vector<VariantSpec> allVariants();
 
-/// The 8 variants without local search.
-std::vector<VariantSpec> greedyOnlyVariants();
-
 /// Tuning parameters (paper values: k = 3, µ = 10).
 struct CaWoParams {
   int blockSize = 3;
@@ -84,19 +81,5 @@ Schedule runVariant(const EnhancedGraph& gc, const PowerProfile& profile,
 Schedule runVariant(const SolveContext& ctx, const VariantSpec& spec,
                     const CaWoParams& params = {},
                     VariantRunStats* stats = nullptr);
-
-/// Run several variants on one shared context, fanned out across
-/// `threads` workers (0 = hardware). The shared prefix work — initial
-/// windows, ASAP makespan, the refined interval set and every score
-/// order the selection needs — is primed once up front and the context
-/// is frozen for the fan-out, so concurrent variant runs only ever read
-/// it (see SolveContext's concurrency contract). `out[i]` / `stats[i]`
-/// belong to `specs[i]`; results are bit-identical to running
-/// `runVariant` serially in `specs` order, for every thread count.
-std::vector<Schedule> runVariants(const SolveContext& ctx,
-                                  const std::vector<VariantSpec>& specs,
-                                  const CaWoParams& params = {},
-                                  unsigned threads = 1,
-                                  std::vector<VariantRunStats>* stats = nullptr);
 
 } // namespace cawo

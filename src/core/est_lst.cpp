@@ -34,40 +34,6 @@ std::vector<Time> computeLst(const EnhancedGraph& gc, Time deadline) {
   return lst;
 }
 
-void recomputeWindows(const EnhancedGraph& gc, Time deadline,
-                      const Schedule& partial,
-                      const std::vector<bool>& placed, std::vector<Time>& est,
-                      std::vector<Time>& lst) {
-  const auto n = static_cast<std::size_t>(gc.numNodes());
-  CAWO_REQUIRE(placed.size() == n && est.size() == n && lst.size() == n,
-               "recomputeWindows: size mismatch");
-  const auto& topo = gc.topoOrder();
-
-  for (TaskId u : topo) {
-    const auto iu = static_cast<std::size_t>(u);
-    if (placed[iu]) {
-      est[iu] = partial.start(u);
-      continue;
-    }
-    Time ready = 0;
-    for (TaskId p : gc.preds(u))
-      ready = std::max(ready, est[static_cast<std::size_t>(p)] + gc.len(p));
-    est[iu] = ready;
-  }
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const TaskId u = *it;
-    const auto iu = static_cast<std::size_t>(u);
-    if (placed[iu]) {
-      lst[iu] = partial.start(u);
-      continue;
-    }
-    Time latest = deadline - gc.len(u);
-    for (TaskId s : gc.succs(u))
-      latest = std::min(latest, lst[static_cast<std::size_t>(s)] - gc.len(u));
-    lst[iu] = latest;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // WindowState
 // ---------------------------------------------------------------------------

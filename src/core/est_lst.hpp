@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/enhanced_graph.hpp"
-#include "core/schedule.hpp"
 #include "util/types.hpp"
 
 /// \file est_lst.hpp
@@ -17,14 +16,13 @@
 /// every node (guaranteed whenever the deadline is at least the ASAP
 /// makespan).
 ///
-/// Two ways to maintain the windows of a partially scheduled instance:
-///   * `recomputeWindows` — the paper-literal full two-pass sweep, O(N+E)
-///     per placement; kept as the test oracle.
-///   * `WindowState` — incremental worklist propagation: pinning one task
-///     only affects the ancestor/descendant cone reachable through still
-///     unplaced nodes, so each placement touches only the nodes whose
-///     bound actually changes (see DESIGN.md, "Incremental scheduling
-///     engine").
+/// `WindowState` maintains the windows of a partially scheduled instance
+/// by incremental worklist propagation: pinning one task only affects the
+/// ancestor/descendant cone reachable through still unplaced nodes, so
+/// each placement touches only the nodes whose bound actually changes
+/// (see DESIGN.md, "Incremental scheduling engine"). The paper-literal
+/// full two-pass sweep, O(N+E) per placement, is the test oracle in
+/// tests/oracles/est_lst_full_sweep.hpp.
 
 namespace cawo {
 
@@ -34,23 +32,12 @@ std::vector<Time> computeEst(const EnhancedGraph& gc);
 /// Backward Kahn pass computing LST for every node under deadline T.
 std::vector<Time> computeLst(const EnhancedGraph& gc, Time deadline);
 
-/// EST/LST conditioned on a partial schedule: nodes with a start time in
-/// `partial` are pinned (EST = LST = σ(u)); the windows of the remaining
-/// nodes tighten accordingly. The original full-sweep formulation — the
-/// greedy scheduler now uses `WindowState`, which maintains exactly the
-/// same fixpoint incrementally; this remains the oracle the property
-/// tests compare against.
-void recomputeWindows(const EnhancedGraph& gc, Time deadline,
-                      const Schedule& partial,
-                      const std::vector<bool>& placed, std::vector<Time>& est,
-                      std::vector<Time>& lst);
-
 /// Incrementally maintained EST/LST windows of a partially scheduled
 /// instance.
 ///
 /// Invariant: after any sequence of `place` calls, `est()`/`lst()` equal
-/// what `recomputeWindows` would produce for the same placement set —
-/// bit for bit. `place(v, s)` pins EST(v) = LST(v) = s and repairs the
+/// the full-sweep oracle's windows for the same placement set — bit for
+/// bit. `place(v, s)` pins EST(v) = LST(v) = s and repairs the
 /// fixpoint by worklist propagation: the forward (EST) worklist is
 /// processed in topological order, the backward (LST) worklist in reverse
 /// topological order, and every popped node is recomputed exactly from

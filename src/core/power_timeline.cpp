@@ -241,73 +241,6 @@ void PowerTimeline::addLoads(std::span<const Load> loads) {
   total_ = total;
 }
 
-Cost PowerTimeline::costInRange(Time a, Time b) const {
-  if (a >= b) return 0;
-  CAWO_REQUIRE(a >= 0 && b <= horizon_, "range outside horizon");
-  Cost cost = 0;
-  for (std::size_t i = findSeg(a); i < active_.size() && begin_[i] < b; ++i) {
-    const Time lo = std::max(a, begin_[i]);
-    const Time hi = std::min(b, begin_[i + 1]);
-    const Power over = base_ + active_[i] - green_[i];
-    if (over > 0 && hi > lo) cost += static_cast<Cost>(over) * (hi - lo);
-  }
-  return cost;
-}
-
-Cost PowerTimeline::peekMoveDelta(Time a, Time b, Time a2, Time b2,
-                                  Power work) const {
-  const bool hasOld = a < b;
-  const bool hasNew = a2 < b2;
-  if (work == 0 || (!hasOld && !hasNew) ||
-      (hasOld && hasNew && a == a2 && b == b2))
-    return 0;
-  Time lo = hasOld ? a : a2;
-  Time hi = hasOld ? b : b2;
-  if (hasNew) {
-    lo = std::min(lo, a2);
-    hi = std::max(hi, b2);
-  }
-  CAWO_REQUIRE(lo >= 0 && hi <= horizon_, "load outside horizon");
-
-  Cost delta = 0;
-  for (std::size_t i = findSeg(lo); i < active_.size() && begin_[i] < hi;
-       ++i) {
-    const Time segLo = std::max(lo, begin_[i]);
-    const Time segHi = std::min(hi, begin_[i + 1]);
-    const Power over = base_ + active_[i] - green_[i];
-    // The load change is piecewise constant; inside this segment it can
-    // only switch at the four move endpoints, so cut there and sum each
-    // constant piece directly.
-    Time cuts[6] = {segLo, segHi};
-    int numCuts = 2;
-    for (const Time t : {a, b, a2, b2})
-      if (t > segLo && t < segHi) cuts[numCuts++] = t;
-    for (int k = 2; k < numCuts; ++k) { // insertion sort: ≤ 6 elements
-      const Time t = cuts[k];
-      int j = k - 1;
-      while (j >= 0 && cuts[j] > t) {
-        cuts[j + 1] = cuts[j];
-        --j;
-      }
-      cuts[j + 1] = t;
-    }
-    for (int k = 0; k + 1 < numCuts; ++k) {
-      const Time pieceLo = cuts[k];
-      const Time pieceHi = cuts[k + 1];
-      if (pieceLo >= pieceHi) continue; // duplicate cut
-      Power change = 0;
-      if (hasOld && pieceLo >= a && pieceLo < b) change -= work;
-      if (hasNew && pieceLo >= a2 && pieceLo < b2) change += work;
-      if (change == 0) continue;
-      const Power moved = over + change;
-      const Time len = pieceHi - pieceLo;
-      if (over > 0) delta -= static_cast<Cost>(over) * len;
-      if (moved > 0) delta += static_cast<Cost>(moved) * len;
-    }
-  }
-  return delta;
-}
-
 void PowerTimeline::peekMoveDeltas(Time a, Time b, Power work,
                                    std::span<const CandidateInterval> candidates,
                                    PeekScratch& scratch,

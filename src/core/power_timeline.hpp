@@ -7,8 +7,9 @@
 #include "util/types.hpp"
 
 /// \file power_timeline.hpp
-/// Incremental power/cost timeline used by the local search and the exact
-/// branch-and-bound solver.
+/// Incremental power/cost timeline used by the local search (batched
+/// `peekMoveDeltas` probes plus `applyMove`) and the exact
+/// branch-and-bound solver (`addLoad`/`removeLoad`/`totalCost`).
 ///
 /// The horizon is partitioned into segments, each lying inside one profile
 /// interval, carrying the currently-drawn *active* power (sum of P_work of
@@ -29,10 +30,10 @@
 /// leave split residue behind (the `std::map` implementation accumulated
 /// probe boundaries forever).
 ///
-/// Every cost is an exact 64-bit integer and per-segment terms are always
-/// accumulated left to right, so `totalCost`/`moveDelta`/`peekMoveDelta`
-/// return values bit-identical to the retained map-backed oracle
-/// (`MapPowerTimeline` in tests/oracles, pinned by property test).
+/// Every cost is an exact 64-bit integer, so `totalCost`, the
+/// `peekMoveDeltas` probes and the deltas of `applyMove` equal the
+/// map-backed oracle's values bit for bit (`MapPowerTimeline` in
+/// tests/oracles, pinned by property test).
 
 namespace cawo {
 
@@ -75,23 +76,6 @@ public:
   /// Current total carbon cost.
   Cost totalCost() const { return total_; }
 
-  /// Carbon cost restricted to [a, b).
-  Cost costInRange(Time a, Time b) const;
-
-  /// Cost change if a load of `work` moved from [a, b) to [a2, b2);
-  /// negative = improvement. Computed read-only over the affected segment
-  /// pieces — unlike the historical map-backed probe it never mutates the
-  /// timeline and leaves no split residue.
-  Cost moveDelta(Time a, Time b, Time a2, Time b2, Power work) const {
-    return peekMoveDelta(a, b, a2, b2, work);
-  }
-
-  /// The same value as `moveDelta` (they are now one implementation): the
-  /// delta is summed over the affected segment pieces directly. Genuinely
-  /// read-only, so it is safe to call from many threads at once on a
-  /// shared timeline.
-  Cost peekMoveDelta(Time a, Time b, Time a2, Time b2, Power work) const;
-
   /// Reusable workspace for `peekMoveDeltas`; hand the same object to
   /// every call so the candidate scan performs no allocation after the
   /// first few batches.
@@ -101,13 +85,14 @@ public:
     std::vector<Cost> prefix;     ///< gain integral up to each piece start
   };
 
-  /// Batched candidate probe: out[i] = peekMoveDelta(a, b,
-  /// candidates[i].begin, candidates[i].end, work) for every candidate,
-  /// with the shared source-interval removal term hoisted once per call
-  /// and all targets served from one prefix table built in a single pass
-  /// over the overlapping segments — O(segments in window + candidates)
-  /// for the whole batch instead of a segment walk per candidate.
-  /// Read-only; `out.size()` must equal `candidates.size()`.
+  /// Batched candidate probe: out[i] is the cost change if a load of
+  /// `work` moved from [a, b) to [candidates[i].begin, candidates[i].end)
+  /// (negative = improvement; 0 for the identity move). The shared
+  /// source-interval removal term is hoisted once per call and all
+  /// targets are served from one prefix table built in a single pass over
+  /// the overlapping segments — O(segments in window + candidates) for
+  /// the whole batch. Read-only; `out.size()` must equal
+  /// `candidates.size()`.
   void peekMoveDeltas(Time a, Time b, Power work,
                       std::span<const CandidateInterval> candidates,
                       PeekScratch& scratch, std::span<Cost> out) const;

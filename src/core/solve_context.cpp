@@ -1,7 +1,6 @@
 #include "core/solve_context.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "core/asap.hpp"
 #include "core/interval_refinement.hpp"
@@ -16,15 +15,8 @@ SolveContext::SolveContext(const EnhancedGraph& gc,
   CAWO_REQUIRE(deadline > 0, "SolveContext: deadline must be positive");
 }
 
-void SolveContext::requireUnfrozen(const char* artifact) const {
-  CAWO_REQUIRE(!frozen_,
-               std::string("SolveContext is frozen: ") + artifact +
-                   " was not primed before the parallel section");
-}
-
 const std::vector<Time>& SolveContext::initialEst() const {
   if (!haveEst_) {
-    requireUnfrozen("initialEst");
     est_ = computeEst(*gc_);
     haveEst_ = true;
   }
@@ -33,7 +25,6 @@ const std::vector<Time>& SolveContext::initialEst() const {
 
 const std::vector<Time>& SolveContext::initialLst() const {
   if (!haveLst_) {
-    requireUnfrozen("initialLst");
     lst_ = computeLst(*gc_, deadline_);
     haveLst_ = true;
   }
@@ -42,7 +33,6 @@ const std::vector<Time>& SolveContext::initialLst() const {
 
 Time SolveContext::asapMakespan() const {
   if (asapMakespan_ < 0) {
-    requireUnfrozen("asapMakespan");
     asapMakespan_ = cawo::asapMakespan(*gc_, initialEst());
   }
   return asapMakespan_;
@@ -50,7 +40,6 @@ Time SolveContext::asapMakespan() const {
 
 Power SolveContext::sumWorkPower() const {
   if (sumWorkPower_ < 0) {
-    requireUnfrozen("sumWorkPower");
     Power sum = 0;
     for (ProcId p = 0; p < gc_->numProcs(); ++p) sum += gc_->workPower(p);
     sumWorkPower_ = sum;
@@ -62,7 +51,6 @@ const std::vector<Interval>& SolveContext::refinedIntervals(
     int blockSize) const {
   const auto it = refinedByBlockSize_.find(blockSize);
   if (it != refinedByBlockSize_.end()) return it->second;
-  requireUnfrozen("refinedIntervals");
   obs::TraceScope span("context.refine");
   span.arg("block_size", static_cast<std::int64_t>(blockSize));
   return refinedByBlockSize_
@@ -76,7 +64,6 @@ const BudgetTree& SolveContext::budgetTreePrototype(bool refined,
   const int key = refined ? blockSize : -1;
   const auto it = budgetTrees_.find(key);
   if (it != budgetTrees_.end()) return it->second;
-  requireUnfrozen("budgetTreePrototype");
   obs::TraceScope span("context.budget_tree");
   const std::span<const Interval> working =
       refined ? std::span<const Interval>(refinedIntervals(blockSize))
@@ -101,7 +88,6 @@ const std::vector<TaskId>& SolveContext::scoreOrder(
   const auto key = std::make_pair(static_cast<int>(opts.base), opts.weighted);
   const auto it = orders_.find(key);
   if (it != orders_.end()) return it->second;
-  requireUnfrozen("scoreOrder");
   obs::TraceScope span("context.score_order");
   return orders_
       .emplace(key,

@@ -27,17 +27,12 @@
 /// pin that.
 ///
 /// Concurrency contract (see DESIGN.md, "Parallel solve core"): the lazy
-/// caches are unsynchronized, so a context being *filled* must stay
-/// confined to one thread — the experiment runners build one context per
-/// instance shard, and the serve daemon guards each cached context with a
-/// per-entry mutex for exactly this reason. Once every artifact a fan-out
-/// needs has been computed, `freeze()` flips the context read-only:
-/// concurrent readers are then safe by construction, and a getter that
-/// would have to compute something new throws instead of mutating — an
-/// unprimed access under concurrency surfaces as a deterministic error,
-/// never a data race. Intra-solve parallelism never aliases a context's
-/// caches: the parallel kernels (refinement marking, local-search scans
-/// and restarts) work on their own state and only read the context.
+/// caches are unsynchronized, so one thread at a time fills or reads a
+/// context — the campaign runner solves an instance's cells one after
+/// another on one context, the CLI gives each solver its own, and the
+/// serve daemon solves under the cache entry's mutex. The intra-solve
+/// parallel kernels (refinement marking, local-search scans and
+/// restarts) work on their own state and only read the context.
 
 namespace cawo {
 
@@ -95,17 +90,7 @@ public:
   void setThreads(unsigned threads) { threads_ = threads; }
   unsigned threads() const { return threads_; }
 
-  /// Flip the context read-only for a parallel section (see the class
-  /// comment); `thaw()` lifts it. Const because freezing only affects
-  /// whether an unprimed access throws, never any computed value. Not
-  /// reentrant — one freeze per context at a time.
-  void freeze() const { frozen_ = true; }
-  void thaw() const { frozen_ = false; }
-  bool frozen() const { return frozen_; }
-
 private:
-  void requireUnfrozen(const char* artifact) const;
-
   const EnhancedGraph* gc_;
   const PowerProfile* profile_;
   Time deadline_;
@@ -121,25 +106,7 @@ private:
   mutable std::map<std::pair<int, bool>, std::vector<TaskId>> orders_;
   /// key: blockSize for refined sets, −1 for the raw profile intervals.
   mutable std::map<int, BudgetTree> budgetTrees_;
-  mutable bool frozen_ = false;
   unsigned threads_ = 1;
-};
-
-/// RAII freeze for a parallel section over a shared context: freezes on
-/// construction, thaws on destruction (also on exceptions, so a failed
-/// fan-out never leaves the context stuck read-only).
-class SolveContextFreezeGuard {
-public:
-  explicit SolveContextFreezeGuard(const SolveContext& ctx) : ctx_(&ctx) {
-    ctx_->freeze();
-  }
-  ~SolveContextFreezeGuard() { ctx_->thaw(); }
-
-  SolveContextFreezeGuard(const SolveContextFreezeGuard&) = delete;
-  SolveContextFreezeGuard& operator=(const SolveContextFreezeGuard&) = delete;
-
-private:
-  const SolveContext* ctx_;
 };
 
 } // namespace cawo

@@ -17,7 +17,6 @@
 #include "exp/record_sink.hpp"
 #include "exp/store.hpp"
 #include "exp/summary.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "online/replay.hpp"
 #include "profile/profile_source.hpp"
@@ -427,11 +426,6 @@ CampaignRunStats runCampaignToStore(const SolverOptions& options,
     stats.recordsPerSec =
         static_cast<double>(stats.cellsSolved) / stats.wallSec;
   }
-  auto& metrics = obs::MetricsRegistry::global();
-  metrics.counter("campaign.cells_solved")
-      .add(static_cast<std::int64_t>(pending.size() * S));
-  metrics.counter("campaign.records_appended")
-      .add(static_cast<std::int64_t>(stats.cellsSolved));
   return stats;
 }
 

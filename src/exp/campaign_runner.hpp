@@ -97,9 +97,9 @@ struct CampaignRunStats {
   std::size_t instancesSolved = 0;///< instances solved by this run
   bool cappedByMaxCells = false;  ///< stopped early by the maxCells cap
 
-  // Throughput of this run's solve loop (obs layer; see
-  // docs/observability.md). Cells/s counts every cell solved (a resumed
-  // instance re-solves whole), records/s only the newly durable ones.
+  // Throughput of this run's solve loop, printed by `campaign --store`.
+  // Cells/s counts every cell solved (a resumed instance re-solves
+  // whole), records/s only the newly durable ones.
   double wallSec = 0.0;
   double cellsPerSec = 0.0;
   double recordsPerSec = 0.0;

@@ -14,7 +14,6 @@
 #include "core/instance_hash.hpp"
 #include "exp/json.hpp"
 #include "exp/record_json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/require.hpp"
 #include "util/strings.hpp"
@@ -82,14 +81,6 @@ std::string readWholeFile(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-std::uint64_t parseIndexHash(const std::string& hex) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(hex.c_str(), &end, 16);
-  CAWO_REQUIRE(hex.size() == 16 && end == hex.c_str() + hex.size(),
-               "store index: malformed hash \"" + hex + "\"");
-  return static_cast<std::uint64_t>(v);
 }
 
 struct IndexEntry {
@@ -521,7 +512,6 @@ void CampaignStoreWriter::flushLocked() {
   writeAll(idxFd_, pendingIndex_, idxPath);
   fsyncFd(idxFd_, idxPath);
   fsyncCount_ += 2;
-  obs::MetricsRegistry::global().counter("store.fsyncs").add(2);
   pendingSegment_.clear();
   pendingIndex_.clear();
   pendingRecords_ = 0;

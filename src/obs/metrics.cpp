@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <ostream>
 
 namespace cawo::obs {
 
@@ -81,90 +80,6 @@ double Histogram::percentile(double q) const {
 std::vector<std::int64_t> Histogram::bucketCounts() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return buckets_;
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  return histogram(name, Histogram::defaultLatencyBucketsMs());
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
-  return *slot;
-}
-
-void MetricsRegistry::forEachCounter(
-    const std::function<void(const std::string&, std::int64_t)>& fn) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, c] : counters_) fn(name, c->value());
-}
-
-void MetricsRegistry::forEachGauge(
-    const std::function<void(const std::string&, std::int64_t)>& fn) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, g] : gauges_) fn(name, g->value());
-}
-
-void MetricsRegistry::forEachHistogram(
-    const std::function<void(const std::string&, const Histogram&)>& fn)
-    const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, h] : histograms_) fn(name, *h);
-}
-
-void MetricsRegistry::writeText(std::ostream& out) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, c] : counters_) {
-    out << name << " " << c->value() << "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    out << name << " " << g->value() << "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    out << name << " count=" << h->count() << " mean=" << h->mean()
-        << " p99=" << h->percentile(0.99) << "\n";
-  }
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->clear();
-}
-
-std::size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_.size() + gauges_.size() + histograms_.size();
-}
-
-void harvestSolveStats(const std::map<std::string, std::int64_t>& stats) {
-  auto& registry = MetricsRegistry::global();
-  registry.counter("solve.count").add(1);
-  for (const auto& [key, value] : stats) {
-    registry.counter("solve.stats." + key).add(value);
-  }
 }
 
 } // namespace cawo::obs

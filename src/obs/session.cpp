@@ -16,13 +16,7 @@ TraceSession::TraceSession(std::string traceFile, bool summary)
     if (const char* env = std::getenv("CAWO_TRACE")) traceFile_ = env;
   }
   active_ = !traceFile_.empty() || summary_;
-  if (active_) {
-#ifdef CAWO_OBS_DISABLED
-    std::cerr << "warning: tracing requested but compiled out "
-                 "(CAWO_OBS_DISABLED); the trace will be empty\n";
-#endif
-    TraceRecorder::global().setState(TraceState::Recording);
-  }
+  if (active_) TraceRecorder::global().setState(TraceState::Recording);
 }
 
 TraceSession::~TraceSession() {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iomanip>
 #include <map>
 #include <ostream>
 #include <utility>
@@ -340,24 +341,31 @@ void TraceRecorder::writeSummary(std::ostream& out) const {
       << " thread lanes\n";
   if (byPath.empty()) return;
 
-  char line[160];
-  std::snprintf(line, sizeof(line), "%-44s %9s %12s %12s %12s\n", "span",
-                "count", "total ms", "mean ms", "p99 ms");
-  out << line;
+  // The name column is as wide as the longest path (at least 44), so the
+  // numeric columns line up however deeply spans nest.
+  std::size_t nameWidth = 44;
+  for (const auto& [path, stats] : byPath)
+    nameWidth = std::max(nameWidth, path.size());
+  const int width = static_cast<int>(nameWidth);
+  const std::ios_base::fmtflags flags = out.flags();
+  const std::streamsize precision = out.precision();
+  out << std::left << std::setw(width) << "span" << std::right << ' '
+      << std::setw(9) << "count" << ' ' << std::setw(12) << "total ms" << ' '
+      << std::setw(12) << "mean ms" << ' ' << std::setw(12) << "p99 ms"
+      << '\n'
+      << std::fixed << std::setprecision(3);
   for (const auto& [path, stats] : byPath) {
     // Full paths keep rows greppable ("solve.variant/greedy"); the map's
     // lexicographic order already lists children right after their parent.
-    std::snprintf(line, sizeof(line), "%-44s %9lld %12.3f %12.3f %12.3f\n",
-                  path.c_str(),
-                  static_cast<long long>(stats.durationsUs.count()),
-                  stats.totalUs / 1000.0,
-                  stats.durationsUs.mean() / 1000.0,
-                  stats.durationsUs.percentile(0.99) / 1000.0);
-    out << line;
+    out << std::left << std::setw(width) << path << std::right << ' '
+        << std::setw(9) << stats.durationsUs.count() << ' ' << std::setw(12)
+        << stats.totalUs / 1000.0 << ' ' << std::setw(12)
+        << stats.durationsUs.mean() / 1000.0 << ' ' << std::setw(12)
+        << stats.durationsUs.percentile(0.99) / 1000.0 << '\n';
   }
+  out.flags(flags);
+  out.precision(precision);
 }
-
-#ifndef CAWO_OBS_DISABLED
 
 void TraceScope::begin(const char* name) {
   name_ = name;
@@ -424,7 +432,5 @@ void traceAsyncSpanBetween(const char* name, std::uint64_t id,
 void traceSetThreadName(const std::string& name) {
   TraceRecorder::global().setThreadName(name);
 }
-
-#endif // CAWO_OBS_DISABLED
 
 } // namespace cawo::obs

@@ -21,13 +21,11 @@
 ///
 /// Cost model — the hard constraint is that telemetry must never change a
 /// schedule and must cost nothing when off:
-///  - `CAWO_OBS_DISABLED` (compile definition) compiles every span site
-///    out entirely; the recorder still links so `--trace` writes an empty
-///    (but valid) trace instead of breaking scripts.
-///  - At runtime a single relaxed atomic holds the state: `Off` (span
-///    constructors are one predicted branch), `Idle` (timestamps are
-///    taken but nothing is stored — isolates clock cost in benchmarks),
-///    and `Recording` (events append to the calling thread's buffer).
+///  - A single relaxed atomic holds the state: `Off` (span constructors
+///    are one predicted branch, measured by `BM_TraceOverhead`), `Idle`
+///    (timestamps are taken but nothing is stored — isolates clock cost
+///    in benchmarks), and `Recording` (events append to the calling
+///    thread's buffer).
 ///  - Buffers are registered once per thread under a mutex and held by
 ///    shared_ptr, so they survive thread exit; appends lock only the
 ///    owning thread's (uncontended) buffer mutex, and only while
@@ -145,8 +143,6 @@ private:
   std::string processName_ = "cawosched";
 };
 
-#ifndef CAWO_OBS_DISABLED
-
 /// True when any tracing is on (Idle or Recording).
 inline bool traceEnabled() { return detail::traceStateRelaxed() != 0; }
 /// True only while events are actually stored — guard arg formatting.
@@ -202,33 +198,5 @@ void traceAsyncSpanBetween(const char* name, std::uint64_t id,
                            std::vector<TraceArg> args = {});
 /// Name the calling thread's trace lane; safe in any state.
 void traceSetThreadName(const std::string& name);
-
-#else // CAWO_OBS_DISABLED — every span site compiles to nothing.
-
-inline bool traceEnabled() { return false; }
-inline bool traceRecording() { return false; }
-
-class TraceScope {
-public:
-  explicit TraceScope(const char*) {}
-  bool recording() const { return false; }
-  void arg(const char*, const std::string&) {}
-  void arg(const char*, std::int64_t) {}
-  void arg(const char*, double) {}
-};
-
-inline void traceInstant(const char*) {}
-inline void traceCounter(const char*, double) {}
-inline void traceSpanBetween(const char*,
-                             std::chrono::steady_clock::time_point,
-                             std::chrono::steady_clock::time_point,
-                             std::vector<TraceArg> = {}) {}
-inline void traceAsyncSpanBetween(const char*, std::uint64_t,
-                                  std::chrono::steady_clock::time_point,
-                                  std::chrono::steady_clock::time_point,
-                                  std::vector<TraceArg> = {}) {}
-inline void traceSetThreadName(const std::string&) {}
-
-#endif // CAWO_OBS_DISABLED
 
 } // namespace cawo::obs

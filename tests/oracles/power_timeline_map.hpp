@@ -1,13 +1,13 @@
 #pragma once
 
 // Test oracle: the historical `std::map<Time, Segment>`-backed power
-// timeline, retained verbatim as the property-test oracle for the flat
-// array-backed `PowerTimeline`. Every cost is an exact 64-bit integer and
-// both implementations accumulate per-segment terms left to right, so the
-// two must agree bit-for-bit on `totalCost`, `costInRange`, `moveDelta` and
-// `peekMoveDelta` over any trace of operations — the randomized
-// trace-equivalence test in tests/test_power_timeline.cpp pins exactly
-// that. Not used by any solver.
+// timeline, retained as the property-test oracle for the flat
+// array-backed `PowerTimeline`. Every cost is an exact 64-bit integer, so
+// over any trace of operations the two must agree bit-for-bit: on
+// `totalCost`, on the flat batched `peekMoveDeltas` against this scalar
+// `peekMoveDelta`, and on the delta of every flat `applyMove` against
+// this `moveDelta` — the randomized trace-equivalence test in
+// tests/test_power_timeline.cpp pins exactly that. Not used by any solver.
 
 #include <algorithm>
 #include <iterator>
@@ -27,7 +27,6 @@ public:
   void removeLoad(Time a, Time b, Power work);
 
   Cost totalCost() const { return total_; }
-  Cost costInRange(Time a, Time b) const;
 
   /// Mutate-and-revert probe (the historical `moveDelta`): leaves the
   /// totals unchanged but permanently accumulates split boundaries — the
@@ -100,22 +99,6 @@ inline void MapPowerTimeline::addLoad(Time a, Time b, Power work) {
 
 inline void MapPowerTimeline::removeLoad(Time a, Time b, Power work) {
   addLoad(a, b, -work);
-}
-
-inline Cost MapPowerTimeline::costInRange(Time a, Time b) const {
-  if (a >= b) return 0;
-  CAWO_REQUIRE(a >= 0 && b <= horizon_, "range outside horizon");
-  Cost cost = 0;
-  auto it = segments_.upper_bound(a);
-  --it; // segment containing a
-  for (; it != segments_.end() && it->first < b; ++it) {
-    const auto next = std::next(it);
-    const Time lo = std::max(a, it->first);
-    const Time hi = std::min(b, next->first);
-    const Power over = base_ + it->second.active - it->second.green;
-    if (over > 0 && hi > lo) cost += static_cast<Cost>(over) * (hi - lo);
-  }
-  return cost;
 }
 
 inline Cost MapPowerTimeline::peekMoveDelta(Time a, Time b, Time a2,

@@ -47,9 +47,16 @@ TEST(VariantSpec, ThereAreExactlySixteenDistinctVariants) {
 }
 
 TEST(VariantSpec, GreedyOnlyVariantsAreTheEightWithoutLs) {
-  const auto variants = greedyOnlyVariants();
-  EXPECT_EQ(variants.size(), 8u);
-  for (const VariantSpec& v : variants) EXPECT_FALSE(v.localSearch);
+  // Canonical order: the eight greedy-only variants, then the same eight
+  // with -LS.
+  const auto variants = allVariants();
+  ASSERT_EQ(variants.size(), 16u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_FALSE(variants[i].localSearch);
+    VariantSpec ls = variants[i];
+    ls.localSearch = true;
+    EXPECT_EQ(variants[i + 8].name(), ls.name());
+  }
 }
 
 TEST(RunVariant, LsVariantNeverCostsMoreThanItsGreedyBase) {
@@ -63,7 +70,8 @@ TEST(RunVariant, LsVariantNeverCostsMoreThanItsGreedyBase) {
   const PowerProfile profile = generateScenario(
       Scenario::S1, deadline, gc.totalIdlePower(), sumWork, {6, 0.1, 5});
 
-  for (const VariantSpec& base : greedyOnlyVariants()) {
+  for (const VariantSpec& base : allVariants()) {
+    if (base.localSearch) continue;
     VariantSpec ls = base;
     ls.localSearch = true;
     const Cost cBase = evaluateCost(

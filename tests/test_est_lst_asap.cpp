@@ -2,6 +2,7 @@
 
 #include "core/asap.hpp"
 #include "core/est_lst.hpp"
+#include "oracles/est_lst_full_sweep.hpp"
 #include "test_util.hpp"
 
 namespace cawo {
@@ -66,7 +67,7 @@ TEST(EstLst, RecomputeWindowsPinsPlacedTasks) {
   std::vector<bool> placed(3, false);
   partial.setStart(1, 10);
   placed[1] = true;
-  recomputeWindows(gc, 30, partial, placed, est, lst);
+  oracle::recomputeWindows(gc, 30, partial, placed, est, lst);
   EXPECT_EQ(est[1], 10);
   EXPECT_EQ(lst[1], 10);
   EXPECT_EQ(est[2], 14); // after task 1 completes

@@ -1,12 +1,14 @@
 // The telemetry layer (src/obs/): histogram edge cases pinned for the
-// serve daemon's byte-stability contract, the metrics registry, and the
-// trace recorder — state machine, Chrome trace-event JSON shape, span
-// nesting by containment, and the explicit-timestamp span API.
+// serve daemon's byte-stability contract, and the trace recorder — state
+// machine, Chrome trace-event JSON shape, span nesting by containment,
+// the summary's column layout, and the explicit-timestamp span API.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,16 +18,6 @@
 
 namespace cawo::obs {
 namespace {
-
-// Tests that record through the span-site API (TraceScope and friends)
-// cannot run when those sites are compiled out; the recorder itself and
-// the state machine are still exercised by the remaining tests.
-#ifdef CAWO_OBS_DISABLED
-#define SKIP_IF_OBS_DISABLED() \
-  GTEST_SKIP() << "CAWO_OBS_DISABLED: span sites compiled out"
-#else
-#define SKIP_IF_OBS_DISABLED() (void)0
-#endif
 
 /// Every trace test runs against the (process-global) recorder, so each
 /// one starts from a clean slate and leaves tracing off.
@@ -125,54 +117,6 @@ TEST(Histogram, ClearResetsEverything) {
 }
 
 // ---------------------------------------------------------------------
-// MetricsRegistry
-// ---------------------------------------------------------------------
-
-TEST(MetricsRegistry, LookupRegistersOnceAndReturnsStableRefs) {
-  MetricsRegistry reg;
-  Counter& a = reg.counter("x.count");
-  a.add(3);
-  Counter& b = reg.counter("x.count");
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(b.value(), 3);
-  reg.gauge("x.depth").set(7);
-  reg.histogram("x.lat").record(2.0);
-  EXPECT_EQ(reg.size(), 3u);
-}
-
-TEST(MetricsRegistry, ResetZeroesButKeepsRegistrations) {
-  MetricsRegistry reg;
-  reg.counter("c").add(5);
-  reg.gauge("g").set(9);
-  reg.histogram("h").record(1.0);
-  reg.reset();
-  EXPECT_EQ(reg.size(), 3u);
-  EXPECT_EQ(reg.counter("c").value(), 0);
-  EXPECT_EQ(reg.gauge("g").value(), 0);
-  EXPECT_EQ(reg.histogram("h").count(), 0);
-}
-
-TEST(MetricsRegistry, WriteTextIsNameSorted) {
-  MetricsRegistry reg;
-  reg.counter("b.second").add(2);
-  reg.counter("a.first").add(1);
-  std::ostringstream out;
-  reg.writeText(out);
-  const std::string text = out.str();
-  EXPECT_LT(text.find("a.first 1"), text.find("b.second 2"));
-}
-
-TEST(MetricsRegistry, HarvestSolveStatsSumsIntoGlobalCounters) {
-  MetricsRegistry& global = MetricsRegistry::global();
-  const std::int64_t count0 = global.counter("solve.count").value();
-  const std::int64_t us0 = global.counter("solve.stats.greedy-us").value();
-  harvestSolveStats({{"greedy-us", 120}});
-  harvestSolveStats({{"greedy-us", 30}});
-  EXPECT_EQ(global.counter("solve.count").value(), count0 + 2);
-  EXPECT_EQ(global.counter("solve.stats.greedy-us").value(), us0 + 150);
-}
-
-// ---------------------------------------------------------------------
 // TraceRecorder — states and JSON shape.
 // ---------------------------------------------------------------------
 
@@ -189,7 +133,6 @@ TEST_F(TraceTest, OffAndIdleStoreNothing) {
 }
 
 TEST_F(TraceTest, RecordingStoresSpansWithArgs) {
-  SKIP_IF_OBS_DISABLED();
   TraceRecorder::global().setState(TraceState::Recording);
   {
     TraceScope span("unit.work");
@@ -242,7 +185,6 @@ TEST_F(TraceTest, EmptyTraceIsStillValidJson) {
 }
 
 TEST_F(TraceTest, ChildSpansNestWithinTheirParent) {
-  SKIP_IF_OBS_DISABLED();
   TraceRecorder::global().setState(TraceState::Recording);
   {
     TraceScope parent("outer");
@@ -277,8 +219,68 @@ TEST_F(TraceTest, ChildSpansNestWithinTheirParent) {
   EXPECT_NE(text.find("outer/inner"), std::string::npos);
 }
 
+// Regression: a nest of long span names gives a path far wider than the
+// old fixed 44-character name column. Every row must still end in its own
+// newline, carry all four numbers, and start its numeric columns at the
+// same offset as every other row.
+TEST_F(TraceTest, SummaryRowsStayAlignedForLongPaths) {
+  // A pause between nested starts keeps every child's timestamp strictly
+  // after its parent's, so the summary nests them deterministically.
+  const auto pause = [] {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  };
+  TraceRecorder::global().setState(TraceState::Recording);
+  {
+    TraceScope a("replay.resolve.with.a.deliberately.long.name");
+    pause();
+    TraceScope b("solve.with.a.deliberately.long.span.name");
+    pause();
+    TraceScope c("greedy.residual.with.a.deliberately.long.name");
+    pause();
+    TraceScope d("context.budget_tree.with.a.long.name");
+    pause();
+  }
+  TraceRecorder::global().setState(TraceState::Off);
+
+  std::ostringstream out;
+  TraceRecorder::global().writeSummary(out);
+  const std::string text = out.str();
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(text.back(), '\n');
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u + 4u) << text; // banner, header, four rows
+
+  const std::string& header = lines[1];
+  ASSERT_EQ(header.rfind("span ", 0), 0u) << header;
+  // The count column is 9 wide and right-aligned under its title.
+  const std::size_t numericStart = header.find("count") + 5 - 9;
+  std::size_t longest = 0;
+  for (std::size_t i = 2; i < lines.size(); ++i) {
+    const std::string& row = lines[i];
+    EXPECT_EQ(row.size(), header.size()) << row;
+    ASSERT_GT(row.size(), numericStart) << row;
+    EXPECT_EQ(row[numericStart - 1], ' ') << row;
+    std::istringstream name(row.substr(0, numericStart));
+    std::string path, rest;
+    name >> path;
+    EXPECT_FALSE(name >> rest) << "name column holds more than the path: "
+                               << row;
+    longest = std::max(longest, path.size());
+
+    std::istringstream numbers(row.substr(numericStart));
+    long long count = -1;
+    double total = -1, mean = -1, p99 = -1;
+    ASSERT_TRUE(numbers >> count >> total >> mean >> p99) << row;
+    EXPECT_EQ(count, 1);
+    EXPECT_GE(total, 0.0);
+    EXPECT_FALSE(numbers >> rest) << "trailing field in " << row;
+  }
+  EXPECT_GT(longest, 120u);
+}
+
 TEST_F(TraceTest, ExplicitTimestampSpansUseTheGivenEndpoints) {
-  SKIP_IF_OBS_DISABLED();
   using Clock = std::chrono::steady_clock;
   TraceRecorder::global().setState(TraceState::Recording);
   const Clock::time_point begin = Clock::now();
@@ -300,7 +302,6 @@ TEST_F(TraceTest, ExplicitTimestampSpansUseTheGivenEndpoints) {
 }
 
 TEST_F(TraceTest, AsyncSpansEmitPairedNestableBeginEnd) {
-  SKIP_IF_OBS_DISABLED();
   using Clock = std::chrono::steady_clock;
   TraceRecorder::global().setState(TraceState::Recording);
   const Clock::time_point begin = Clock::now();
@@ -331,7 +332,6 @@ TEST_F(TraceTest, AsyncSpansEmitPairedNestableBeginEnd) {
 }
 
 TEST_F(TraceTest, ThreadLanesGetDistinctTidsAndNames) {
-  SKIP_IF_OBS_DISABLED();
   TraceRecorder::global().setState(TraceState::Recording);
   {
     TraceScope main("on-main");
@@ -363,7 +363,6 @@ TEST_F(TraceTest, ThreadLanesGetDistinctTidsAndNames) {
 }
 
 TEST_F(TraceTest, ClearDropsEventsButKeepsRegistrations) {
-  SKIP_IF_OBS_DISABLED();
   TraceRecorder::global().setState(TraceState::Recording);
   {
     TraceScope span("gone");

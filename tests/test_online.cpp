@@ -24,6 +24,7 @@
 #include "sim/instance.hpp"
 #include "sim/runner.hpp"
 #include "solver/registry.hpp"
+#include "oracles/est_lst_full_sweep.hpp"
 #include "test_util.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -297,7 +298,8 @@ TEST(ReplayWindows, IncrementalWindowsMatchOracleAfterEveryEvent) {
         placed[static_cast<std::size_t>(v)] = true;
         partial.setStart(v, engine.executedStarts().start(v));
       }
-      recomputeWindows(gc, engine.deadline(), partial, placed, est, lst);
+      oracle::recomputeWindows(gc, engine.deadline(), partial, placed, est,
+                               lst);
       ASSERT_EQ(engine.windows().estAll(), est)
           << "EST diverged at t=" << engine.now() << " (seed " << seed
           << ")";

@@ -1,18 +1,17 @@
 // The parallel solve core's determinism contract (see DESIGN.md,
 // "Parallel solve core"): every parallel kernel must produce the same
 // bytes as its serial twin for every thread count — the fan-outs reduce
-// in deterministic order (candidate index, restart index, variant index),
-// never in arrival order.
+// in deterministic order (candidate index, restart index), never in
+// arrival order.
 //
-//   * all 16 CaWoSched variants over random DAGs, batched via
-//     `runVariants` at threads ∈ {1, 2, 8} and repeated runs — every
-//     schedule bit-identical to the serial `runVariant` reference;
+//   * all 16 CaWoSched variants over random DAGs, each run through
+//     `runVariant` on one shared context with multi-start local search at
+//     threads ∈ {1, 2, 8} and repeated runs — every schedule and search
+//     trajectory bit-identical to the threads = 1 run;
 //   * multi-start local search (`localSearchRestarts`) reproducing the
 //     serial best-of-N merge exactly at every thread count;
 //   * the wide-window parallel candidate scan matching the serial scan
-//     for both move strategies;
-//   * the frozen-context contract: priming covers the fan-out, and an
-//     unprimed access under freeze throws instead of racing.
+//     for both move strategies.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +23,6 @@
 #include "core/local_search.hpp"
 #include "core/solve_context.hpp"
 #include "test_util.hpp"
-#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace cawo {
@@ -72,68 +70,56 @@ RandomInstance randomInstance(std::uint64_t seed) {
 }
 
 // -------------------------------------------------------------------------
-// Variant batch: 16 variants × threads {1, 2, 8} × repeated runs.
+// All variants: 16 variants × threads {1, 2, 8} × repeated runs.
 // -------------------------------------------------------------------------
 
 TEST(ParallelDeterminism, AllVariantsBitIdenticalAcrossThreadCounts) {
   const std::vector<VariantSpec> variants = allVariants();
   ASSERT_EQ(variants.size(), 16u);
-  const CaWoParams params;
+  CaWoParams serial;
+  serial.lsRestarts = 3; // the thread count reaches the restart fan-out
 
   for (const std::uint64_t seed : {11u, 23u, 47u}) {
     const RandomInstance inst = randomInstance(seed);
 
-    // Serial reference: one throwaway context per variant, exactly the
-    // single-solver code path.
+    // Reference: threads = 1, one throwaway context per variant — exactly
+    // the single-solver code path.
     std::vector<Schedule> reference;
     for (const VariantSpec& spec : variants)
       reference.push_back(
-          runVariant(inst.gc, inst.profile, inst.deadline, spec, params));
+          runVariant(inst.gc, inst.profile, inst.deadline, spec, serial));
+    std::vector<VariantRunStats> referenceStats(variants.size());
+    {
+      const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
+      for (std::size_t i = 0; i < variants.size(); ++i)
+        (void)runVariant(ctx, variants[i], serial, &referenceStats[i]);
+    }
 
     for (const unsigned threads : {1u, 2u, 8u}) {
+      CaWoParams params = serial;
+      params.threads = threads;
       const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
-      const std::vector<Schedule> batch =
-          runVariants(ctx, variants, params, threads);
-      ASSERT_EQ(batch.size(), variants.size());
-      for (std::size_t i = 0; i < variants.size(); ++i)
-        EXPECT_EQ(batch[i].starts(), reference[i].starts())
-            << "variant " << variants[i].name() << " diverged at threads="
-            << threads << " (seed " << seed << ")";
-
-      // Repeated run on the already-primed context: still identical —
-      // nothing about a previous fan-out may leak into the next.
-      const std::vector<Schedule> again =
-          runVariants(ctx, variants, params, threads);
-      for (std::size_t i = 0; i < variants.size(); ++i)
-        EXPECT_EQ(again[i].starts(), reference[i].starts())
-            << "variant " << variants[i].name()
-            << " diverged on the repeated run at threads=" << threads;
+      // The second pass runs on the already-filled context: nothing
+      // about a previous run may leak into the next.
+      for (const int pass : {0, 1}) {
+        for (std::size_t i = 0; i < variants.size(); ++i) {
+          VariantRunStats stats;
+          const Schedule s = runVariant(ctx, variants[i], params, &stats);
+          EXPECT_EQ(s.starts(), reference[i].starts())
+              << "variant " << variants[i].name() << " diverged at threads="
+              << threads << " (seed " << seed << ", pass " << pass << ")";
+          EXPECT_EQ(stats.lsRan, variants[i].localSearch);
+          if (!stats.lsRan) continue;
+          // Wall times differ run to run; the search trajectory must not.
+          const LocalSearchStats& want = referenceStats[i].ls;
+          EXPECT_EQ(stats.ls.rounds, want.rounds);
+          EXPECT_EQ(stats.ls.movesApplied, want.movesApplied);
+          EXPECT_EQ(stats.ls.initialCost, want.initialCost);
+          EXPECT_EQ(stats.ls.finalCost, want.finalCost);
+          EXPECT_EQ(stats.ls.bestRestart, want.bestRestart);
+        }
+      }
     }
-  }
-}
-
-TEST(ParallelDeterminism, BatchStatsMatchSerialRuns) {
-  const RandomInstance inst = randomInstance(5);
-  const std::vector<VariantSpec> variants = allVariants();
-  const CaWoParams params;
-
-  const SolveContext serialCtx(inst.gc, inst.profile, inst.deadline);
-  std::vector<VariantRunStats> serialStats(variants.size());
-  for (std::size_t i = 0; i < variants.size(); ++i)
-    (void)runVariant(serialCtx, variants[i], params, &serialStats[i]);
-
-  const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
-  std::vector<VariantRunStats> stats;
-  (void)runVariants(ctx, variants, params, 8, &stats);
-  ASSERT_EQ(stats.size(), variants.size());
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    EXPECT_EQ(stats[i].lsRan, variants[i].localSearch);
-    if (!stats[i].lsRan) continue;
-    // Wall times differ run to run; the search trajectory must not.
-    EXPECT_EQ(stats[i].ls.rounds, serialStats[i].ls.rounds);
-    EXPECT_EQ(stats[i].ls.movesApplied, serialStats[i].ls.movesApplied);
-    EXPECT_EQ(stats[i].ls.initialCost, serialStats[i].ls.initialCost);
-    EXPECT_EQ(stats[i].ls.finalCost, serialStats[i].ls.finalCost);
   }
 }
 
@@ -243,33 +229,6 @@ TEST(ParallelDeterminism, WideCandidateScanMatchesSerialScan) {
       EXPECT_EQ(stats.finalCost, serialStats.finalCost);
     }
   }
-}
-
-// -------------------------------------------------------------------------
-// Frozen-context contract.
-// -------------------------------------------------------------------------
-
-TEST(ParallelDeterminism, FrozenContextServesPrimedArtifactsAndRejectsMisses) {
-  const RandomInstance inst = randomInstance(3);
-  const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
-  (void)ctx.initialEst();
-  (void)ctx.initialLst();
-  (void)ctx.refinedIntervals(3);
-
-  {
-    const SolveContextFreezeGuard freeze(ctx);
-    EXPECT_TRUE(ctx.frozen());
-    // Primed artifacts keep working (cache hits only) ...
-    EXPECT_NO_THROW((void)ctx.initialEst());
-    EXPECT_NO_THROW((void)ctx.refinedIntervals(3));
-    EXPECT_NO_THROW((void)ctx.windowState());
-    // ... an artifact that would have to be computed now throws instead
-    // of mutating under the fan-out's feet.
-    EXPECT_THROW((void)ctx.refinedIntervals(5), PreconditionError);
-    EXPECT_THROW((void)ctx.asapMakespan(), PreconditionError);
-  }
-  EXPECT_FALSE(ctx.frozen());
-  EXPECT_NO_THROW((void)ctx.refinedIntervals(5)); // thawed: lazy again
 }
 
 } // namespace

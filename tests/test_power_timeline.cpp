@@ -53,15 +53,16 @@ TEST(PowerTimeline, LoadAcrossIntervalBoundary) {
   EXPECT_EQ(t.totalCost(), 12);
 }
 
-TEST(PowerTimeline, CostInRangeSlicesSegments) {
-  const PowerProfile p = PowerProfile::uniform(10, 0);
-  PowerTimeline t(p, 2); // constant overflow 2
-  EXPECT_EQ(t.costInRange(0, 10), 20);
-  EXPECT_EQ(t.costInRange(3, 7), 8);
-  EXPECT_EQ(t.costInRange(7, 7), 0);
-  t.addLoad(4, 6, 3);
-  EXPECT_EQ(t.costInRange(4, 6), 10);
-  EXPECT_EQ(t.costInRange(0, 4), 8);
+/// One read-only probe through the batched kernel: the cost change if a
+/// load of `work` moved from [a, b) to [a2, b2).
+Cost probe(const PowerTimeline& t, Time a, Time b, Time a2, Time b2,
+           Power work) {
+  PowerTimeline::PeekScratch scratch;
+  const CandidateInterval target{a2, b2};
+  Cost delta = 0;
+  t.peekMoveDeltas(a, b, work, std::span<const CandidateInterval>(&target, 1),
+                   scratch, std::span<Cost>(&delta, 1));
+  return delta;
 }
 
 TEST(PowerTimeline, MoveDeltaLeavesTimelineUnchanged) {
@@ -69,7 +70,7 @@ TEST(PowerTimeline, MoveDeltaLeavesTimelineUnchanged) {
   PowerTimeline t(p, 0);
   t.addLoad(0, 4, 7);
   const Cost before = t.totalCost();
-  const Cost delta = t.moveDelta(0, 4, 10, 14, 7);
+  const Cost delta = probe(t, 0, 4, 10, 14, 7);
   EXPECT_EQ(t.totalCost(), before);
   EXPECT_EQ(delta, 0); // uniform budget → no gain anywhere
 }
@@ -81,39 +82,11 @@ TEST(PowerTimeline, MoveDeltaSeesImprovement) {
   PowerTimeline t(p, 0);
   t.addLoad(0, 5, 4); // cost 20 in the dark interval
   EXPECT_EQ(t.totalCost(), 20);
-  const Cost delta = t.moveDelta(0, 5, 12, 17, 4);
+  const Cost delta = probe(t, 0, 5, 12, 17, 4);
   EXPECT_EQ(delta, -20);
   EXPECT_EQ(t.totalCost(), 20); // unchanged by the probe
-}
-
-TEST(PowerTimeline, PeekMoveDeltaMatchesMutatingProbe) {
-  // peekMoveDelta is the read-only twin the parallel candidate scan uses;
-  // it must agree with moveDelta on every move shape — disjoint, partial
-  // overlap, containment, zero-width old or new range — and, unlike the
-  // mutating probe, must not grow the segment map.
-  Rng rng(4242);
-  const Time horizon = 60;
-  for (int trial = 0; trial < 200; ++trial) {
-    const PowerProfile p = randomProfile(horizon, 6, 0, 9, rng);
-    PowerTimeline t(p, rng.uniformInt(0, 3));
-    for (int l = 0; l < 4; ++l) {
-      const Time a = rng.uniformInt(0, horizon - 1);
-      t.addLoad(a, rng.uniformInt(a + 1, horizon), rng.uniformInt(1, 6));
-    }
-    const Time a = rng.uniformInt(0, horizon);
-    const Time b = rng.uniformInt(a, horizon); // may be empty (a == b)
-    const Time len = b - a;
-    const Time a2 = rng.uniformInt(0, horizon - len);
-    const Time b2 = a2 + len;
-    const Power work = rng.uniformInt(0, 5);
-
-    const auto segsBefore = t.numSegments();
-    const Cost peeked = t.peekMoveDelta(a, b, a2, b2, work);
-    EXPECT_EQ(t.numSegments(), segsBefore) << "peek split a segment";
-    EXPECT_EQ(peeked, t.moveDelta(a, b, a2, b2, work))
-        << "trial " << trial << ": move [" << a << "," << b << ") -> ["
-        << a2 << "," << b2 << ") work " << work;
-  }
+  t.applyMove(0, 5, 12, 17, 4); // the applied move realises the probe
+  EXPECT_EQ(t.totalCost(), 20 + delta);
 }
 
 TEST(PowerTimeline, RejectsOutOfHorizonLoads) {
@@ -135,8 +108,9 @@ TEST(PowerTimeline, ZeroWidthOrZeroPowerLoadsAreNoOps) {
 
 // Property: the flat timeline and the retained std::map implementation
 // agree bit-for-bit on every observable over a randomized operation trace
-// (the map oracle pins the flat rewrite). Horizon-edge and zero-length
-// spans are drawn deliberately often.
+// (the map oracle pins the flat rewrite): totals after every edit, the
+// batched probes, and the delta of every applied move. Horizon-edge and
+// zero-length spans are drawn deliberately often.
 TEST(PowerTimeline, TraceEquivalenceVsMapOracle) {
   Rng rng(0xf1a7);
   for (int trial = 0; trial < 40; ++trial) {
@@ -161,6 +135,7 @@ TEST(PowerTimeline, TraceEquivalenceVsMapOracle) {
     };
 
     std::vector<PowerTimeline::Load> live;
+    PowerTimeline::PeekScratch scratch;
     for (int step = 0; step < 150; ++step) {
       Time a, b;
       randSpan(a, b);
@@ -183,26 +158,48 @@ TEST(PowerTimeline, TraceEquivalenceVsMapOracle) {
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
         break;
       }
-      case 3: { // read-only probe
+      case 3: { // read-only probe: one candidate, any length
         Time a2, b2;
         randSpan(a2, b2);
         const Power w = rng.uniformInt(0, 5);
-        EXPECT_EQ(flat.peekMoveDelta(a, b, a2, b2, w),
+        EXPECT_EQ(probe(flat, a, b, a2, b2, w),
                   oracle.peekMoveDelta(a, b, a2, b2, w))
             << "peek [" << a << "," << b << ")->[" << a2 << "," << b2
             << ") w=" << w;
         break;
       }
-      case 4: { // moveDelta (mutate-and-revert on the oracle, pure here)
+      case 4: { // applied move of a live load: its delta is the oracle's
+        if (live.empty()) break;
+        auto& [la, lb, lw] = live[static_cast<std::size_t>(
+            rng.uniformInt(0, live.size() - 1))];
         Time a2, b2;
         randSpan(a2, b2);
-        const Power w = rng.uniformInt(0, 5);
-        EXPECT_EQ(flat.moveDelta(a, b, a2, b2, w),
-                  oracle.moveDelta(a, b, a2, b2, w));
+        const Cost want = oracle.moveDelta(la, lb, a2, b2, lw);
+        const Cost before = flat.totalCost();
+        flat.applyMove(la, lb, a2, b2, lw);
+        EXPECT_EQ(flat.totalCost() - before, want)
+            << "move [" << la << "," << lb << ")->[" << a2 << "," << b2
+            << ") w=" << lw;
+        oracle.removeLoad(la, lb, lw);
+        oracle.addLoad(a2, b2, lw);
+        la = a2;
+        lb = b2;
         break;
       }
-      case 5: { // sliced cost
-        EXPECT_EQ(flat.costInRange(a, b), oracle.costInRange(a, b));
+      case 5: { // batched probe: the local-search sweep shape
+        if (live.empty()) break;
+        const auto& [la, lb, lw] = live[static_cast<std::size_t>(
+            rng.uniformInt(0, live.size() - 1))];
+        std::vector<CandidateInterval> cands;
+        for (Time c = 0; c + (lb - la) <= horizon; ++c)
+          cands.push_back({c, c + (lb - la)});
+        std::vector<Cost> out(cands.size());
+        flat.peekMoveDeltas(la, lb, lw, cands, scratch, out);
+        for (std::size_t i = 0; i < cands.size(); ++i)
+          EXPECT_EQ(out[i], oracle.peekMoveDelta(la, lb, cands[i].begin,
+                                                 cands[i].end, lw))
+              << "batch [" << la << "," << lb << ")->[" << cands[i].begin
+              << "," << cands[i].end << ") w=" << lw;
         break;
       }
       }
@@ -223,19 +220,24 @@ TEST(PowerTimeline, TraceEquivalenceVsMapOracle) {
   }
 }
 
-// Property: the batched probe equals the scalar probe for every candidate —
-// arbitrary order, arbitrary length, empty candidates, the identity
-// candidate, and an empty source interval.
-TEST(PowerTimeline, PeekMoveDeltasMatchesScalarProbe) {
+// Property: the batched probe equals the map oracle's probe for every
+// candidate — arbitrary order, arbitrary length, empty candidates, the
+// identity candidate, and an empty source interval.
+TEST(PowerTimeline, PeekMoveDeltasMatchesMapOracle) {
   Rng rng(0xba7c4);
   PowerTimeline::PeekScratch scratch;
   for (int trial = 0; trial < 60; ++trial) {
     const Time horizon = rng.uniformInt(10, 100);
     const PowerProfile p = randomProfile(horizon, 6, 0, 9, rng);
-    PowerTimeline t(p, rng.uniformInt(0, 3));
+    const Power base = rng.uniformInt(0, 3);
+    PowerTimeline t(p, base);
+    MapPowerTimeline oracle(p, base);
     for (int l = 0; l < 5; ++l) {
       const Time a = rng.uniformInt(0, horizon - 1);
-      t.addLoad(a, rng.uniformInt(a + 1, horizon), rng.uniformInt(1, 6));
+      const Time b = rng.uniformInt(a + 1, horizon);
+      const Power w = rng.uniformInt(1, 6);
+      t.addLoad(a, b, w);
+      oracle.addLoad(a, b, w);
     }
     const bool emptySource = rng.uniformInt(0, 4) == 0;
     const Time a = rng.uniformInt(0, horizon - 1);
@@ -257,7 +259,7 @@ TEST(PowerTimeline, PeekMoveDeltasMatchesScalarProbe) {
     t.peekMoveDeltas(a, b, work, cands, scratch, out);
     for (std::size_t i = 0; i < cands.size(); ++i)
       EXPECT_EQ(out[i],
-                t.peekMoveDelta(a, b, cands[i].begin, cands[i].end, work))
+                oracle.peekMoveDelta(a, b, cands[i].begin, cands[i].end, work))
           << "trial " << trial << " candidate [" << cands[i].begin << ","
           << cands[i].end << ") source [" << a << "," << b << ") w=" << work;
   }
@@ -294,7 +296,7 @@ TEST(PowerTimeline, SegmentCountStaysBoundedUnderChurn) {
     const Time len = ld.end - ld.begin;
     const Time a2 = rng.uniformInt(0, horizon - len);
     // Probe first (read-only), then apply: the local-search pattern.
-    (void)t.moveDelta(ld.begin, ld.end, a2, a2 + len, ld.work);
+    (void)probe(t, ld.begin, ld.end, a2, a2 + len, ld.work);
     t.applyMove(ld.begin, ld.end, a2, a2 + len, ld.work);
     ld.begin = a2;
     ld.end = a2 + len;

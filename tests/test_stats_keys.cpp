@@ -1,15 +1,13 @@
 // SolveResult::stats key vocabulary: every key any registered solver
 // emits must be in the documented set (docs/formats.md, "SolveResult
 // stats keys") — a new stat needs a doc entry before it ships, because
-// the obs layer harvests these keys verbatim into global counters
-// (`solve.stats.<key>`).
+// the campaign records and serve replies copy these keys verbatim.
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 
-#include "obs/metrics.hpp"
 #include "sim/instance.hpp"
 #include "solver/registry.hpp"
 #include "test_util.hpp"
@@ -89,15 +87,6 @@ TEST(SolverStatsKeys, EveryEmittedKeyIsDocumented) {
     EXPECT_TRUE(seen.count(key))
         << "documented stats key \"" << key << "\" is emitted by no solver "
         << "— stale docs/formats.md entry?";
-}
-
-TEST(SolverStatsKeys, HarvestNamespacesKeysUnderSolveStats) {
-  // The obs harvest turns each key into counter "solve.stats.<key>".
-  obs::MetricsRegistry& global = obs::MetricsRegistry::global();
-  const std::int64_t before =
-      global.counter("solve.stats.ls-rounds").value();
-  obs::harvestSolveStats({{"ls-rounds", 4}});
-  EXPECT_EQ(global.counter("solve.stats.ls-rounds").value(), before + 4);
 }
 
 } // namespace

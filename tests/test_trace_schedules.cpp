@@ -1,5 +1,6 @@
-// The telemetry layer's hard constraint (ISSUE: tracing must never
-// change schedules): all 16 CaWoSched variants produce bit-identical
+// The telemetry layer's hard constraint (tracing must never change
+// schedules): all 16 CaWoSched variants, run through `runVariant` on one
+// shared context with multi-start local search, produce bit-identical
 // schedules with the trace recorder Off, Idle and Recording, at
 // threads ∈ {1, 8}. Plus a golden-shape check on the recorded trace:
 // valid Chrome trace-event JSON whose child spans nest within their
@@ -61,6 +62,20 @@ Fixture makeFixture(std::uint64_t seed) {
   return f;
 }
 
+/// Every variant in order on one shared context, as the campaign runner
+/// solves an instance's cells. `lsRestarts > 1` so `threads` reaches the
+/// local-search restart fan-out.
+std::vector<Schedule> runAllVariants(const Fixture& f, unsigned threads) {
+  CaWoParams params;
+  params.threads = threads;
+  params.lsRestarts = 3;
+  const SolveContext ctx(f.gc, f.profile, f.deadline);
+  std::vector<Schedule> out;
+  for (const VariantSpec& spec : allVariants())
+    out.push_back(runVariant(ctx, spec, params));
+  return out;
+}
+
 class TraceScheduleTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -76,24 +91,19 @@ protected:
 TEST_F(TraceScheduleTest, SchedulesBitIdenticalAcrossTraceStates) {
   const std::vector<VariantSpec> variants = allVariants();
   ASSERT_EQ(variants.size(), 16u);
-  const CaWoParams params;
   const Fixture f = makeFixture(101);
 
   // Reference: tracing Off.
   std::vector<std::vector<Schedule>> reference;
-  for (const unsigned threads : {1u, 8u}) {
-    const SolveContext ctx(f.gc, f.profile, f.deadline);
-    reference.push_back(runVariants(ctx, variants, params, threads));
-  }
+  for (const unsigned threads : {1u, 8u})
+    reference.push_back(runAllVariants(f, threads));
 
   for (const TraceState state : {TraceState::Idle, TraceState::Recording}) {
     TraceRecorder::global().clear();
     TraceRecorder::global().setState(state);
     std::size_t t = 0;
     for (const unsigned threads : {1u, 8u}) {
-      const SolveContext ctx(f.gc, f.profile, f.deadline);
-      const std::vector<Schedule> traced =
-          runVariants(ctx, variants, params, threads);
+      const std::vector<Schedule> traced = runAllVariants(f, threads);
       ASSERT_EQ(traced.size(), variants.size());
       for (std::size_t i = 0; i < variants.size(); ++i)
         EXPECT_EQ(traced[i].starts(), reference[t][i].starts())
@@ -102,30 +112,20 @@ TEST_F(TraceScheduleTest, SchedulesBitIdenticalAcrossTraceStates) {
       ++t;
     }
     TraceRecorder::global().setState(TraceState::Off);
-#ifndef CAWO_OBS_DISABLED
     if (state == TraceState::Idle)
       EXPECT_EQ(TraceRecorder::global().eventCount(), 0u)
           << "Idle must not store events";
     else
       EXPECT_GT(TraceRecorder::global().eventCount(), 0u)
           << "Recording stored nothing — instrumentation is dead";
-#endif
   }
 }
 
 TEST_F(TraceScheduleTest, RecordedTraceHasGoldenShape) {
-#ifdef CAWO_OBS_DISABLED
-  GTEST_SKIP() << "CAWO_OBS_DISABLED: span sites compiled out";
-#endif
-  const std::vector<VariantSpec> variants = allVariants();
-  const CaWoParams params;
   const Fixture f = makeFixture(7);
 
   TraceRecorder::global().setState(TraceState::Recording);
-  {
-    const SolveContext ctx(f.gc, f.profile, f.deadline);
-    (void)runVariants(ctx, variants, params, 8);
-  }
+  (void)runAllVariants(f, 8);
   TraceRecorder::global().setState(TraceState::Off);
 
   std::ostringstream out;

@@ -69,24 +69,16 @@ TEST(WorkerPoolStress, HundredsOfSolvesWithRandomCancellations) {
   constexpr std::size_t kJobs = 400;
   const SmallInstance inst = smallInstance(1234);
 
-  // Serve keeps one primed context per instance and only lets solves read
-  // it; mirror that exactly — prime, freeze, fan out.
-  const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
-  (void)ctx.initialEst();
-  (void)ctx.initialLst();
-  (void)ctx.asapMakespan();
-  (void)ctx.sumWorkPower();
+  // Reference results, computed serially up front on one context. Each
+  // job below solves on its own throwaway context, so concurrent jobs
+  // share only the read-only instance.
   const std::vector<VariantSpec> variants = allVariants();
-  for (const VariantSpec& spec : variants) {
-    (void)ctx.scoreOrder(ScoreOptions{spec.base, spec.weighted});
-    (void)ctx.budgetTreePrototype(spec.refined, 3);
-  }
-  (void)ctx.refinedIntervals(3);
-
-  // Reference results, computed serially up front.
   std::vector<Schedule> expected;
-  for (const VariantSpec& spec : variants)
-    expected.push_back(runVariant(ctx, spec));
+  {
+    const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
+    for (const VariantSpec& spec : variants)
+      expected.push_back(runVariant(ctx, spec));
+  }
 
   WallTimer timer;
   std::atomic<std::size_t> solved{0};
@@ -101,7 +93,6 @@ TEST(WorkerPoolStress, HundredsOfSolvesWithRandomCancellations) {
     if (rng.uniformInt(0, 3) == 0) toCancel.push_back(i);
 
   {
-    const SolveContextFreezeGuard freeze(ctx);
     WorkerPool pool(4, 8); // tiny queue: admission backpressure is exercised
 
     // The "deadline reaper": flips cancel flags while solves are in
@@ -122,7 +113,8 @@ TEST(WorkerPoolStress, HundredsOfSolvesWithRandomCancellations) {
           cancelled.fetch_add(1);
           return;
         }
-        const Schedule got = runVariant(ctx, spec);
+        const Schedule got =
+            runVariant(inst.gc, inst.profile, inst.deadline, spec);
         if (got.starts() == want.starts())
           solved.fetch_add(1);
         else
@@ -153,28 +145,18 @@ TEST(WorkerPoolStress, HundredsOfSolvesWithRandomCancellations) {
 
 TEST(WorkerPoolStress, MidRunStopDrainsAdmittedJobs) {
   const SmallInstance inst = smallInstance(9);
-  const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
   const VariantSpec spec{BaseScore::Slack, true, false, false};
-  (void)ctx.initialEst();
-  (void)ctx.initialLst();
-  (void)ctx.asapMakespan();
-  (void)ctx.sumWorkPower();
-  (void)ctx.scoreOrder(ScoreOptions{spec.base, spec.weighted});
-  (void)ctx.budgetTreePrototype(spec.refined, CaWoParams{}.blockSize);
 
   std::atomic<std::size_t> ran{0};
   std::size_t admitted = 0;
   WorkerPool pool(3, 16);
-  {
-    const SolveContextFreezeGuard freeze(ctx);
-    for (std::size_t i = 0; i < 100; ++i)
-      if (pool.trySubmit([&] {
-            (void)runVariant(ctx, spec);
-            ran.fetch_add(1);
-          }))
-        ++admitted;
-    pool.stop(); // finishes every admitted job, then joins
-  }
+  for (std::size_t i = 0; i < 100; ++i)
+    if (pool.trySubmit([&] {
+          (void)runVariant(inst.gc, inst.profile, inst.deadline, spec);
+          ran.fetch_add(1);
+        }))
+      ++admitted;
+  pool.stop(); // finishes every admitted job, then joins
   EXPECT_EQ(ran.load(), admitted);
   EXPECT_GT(admitted, 0u);
   // A stopped pool admits nothing and drops the job on the floor.
