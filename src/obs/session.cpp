@@ -1,6 +1,5 @@
 #include "obs/session.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <utility>
@@ -12,9 +11,6 @@ namespace cawo::obs {
 
 TraceSession::TraceSession(std::string traceFile, bool summary)
     : traceFile_(std::move(traceFile)), summary_(summary) {
-  if (traceFile_.empty()) {
-    if (const char* env = std::getenv("CAWO_TRACE")) traceFile_ = env;
-  }
   active_ = !traceFile_.empty() || summary_;
   if (active_) TraceRecorder::global().setState(TraceState::Recording);
 }

@@ -6,23 +6,19 @@
 /// \file session.hpp
 /// CLI-facing lifetime wrapper around the trace recorder.
 ///
-/// Every subcommand that supports tracing (`solve`, `campaign`,
-/// `replay`, `serve`, plus the loadgen bench) constructs one
-/// `TraceSession` from its `--trace=FILE` / `--trace-summary` flags.
-/// When either is requested (or the `CAWO_TRACE` environment variable
-/// names a file and no flag overrides it), the session flips the
-/// recorder to Recording for its lifetime; `finish()` writes the Chrome
-/// trace file and/or prints the hierarchical summary to stderr. The
-/// destructor finishes best-effort so early-return paths still produce
-/// the trace.
+/// `cawosched-cli` constructs one `TraceSession` per invocation from the
+/// `--trace=FILE` / `--trace-summary` flags of whichever mode runs. When
+/// either is requested, the session flips the recorder to Recording for
+/// its lifetime; `finish()` writes the Chrome trace file and/or prints
+/// the hierarchical summary to stderr. The destructor finishes
+/// best-effort so early-return paths still produce the trace.
 
 namespace cawo::obs {
 
 class TraceSession {
 public:
-  /// `traceFile` empty means "no --trace flag"; the `CAWO_TRACE` env
-  /// variable then supplies the file name, if set. `summary` requests
-  /// the plain-text rollup on finish.
+  /// `traceFile` empty means "no --trace flag". `summary` requests the
+  /// plain-text rollup on finish.
   TraceSession(std::string traceFile, bool summary);
   ~TraceSession();
 

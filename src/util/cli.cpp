@@ -1,12 +1,27 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
-#include "util/require.hpp"
 #include "util/strings.hpp"
 
 namespace cawo {
+
+namespace {
+
+/// Strict parse of a flag value: trailing garbage or overflow is a usage
+/// error that names the flag.
+template <class T>
+T parseFlag(const std::string& name, const std::string& value,
+            T (*parse)(const std::string&, const std::string&),
+            const char* kind) {
+  try {
+    return parse("--" + name, value);
+  } catch (const PreconditionError&) {
+    throw UsageError("--" + name + ": \"" + value + "\" is not " + kind);
+  }
+}
+
+} // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv,
                  const std::vector<std::string>& knownFlags,
@@ -24,8 +39,8 @@ CliArgs::CliArgs(int argc, const char* const* argv,
   const std::string where = context.empty() ? "" : " for " + context;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    CAWO_REQUIRE(startsWith(arg, "--"),
-                 "unexpected positional argument" + where + ": " + arg);
+    if (!startsWith(arg, "--"))
+      throw UsageError("unexpected positional argument" + where + ": " + arg);
     arg = arg.substr(2);
     std::string name;
     std::string value;
@@ -41,10 +56,10 @@ CliArgs::CliArgs(int argc, const char* const* argv,
         value = "1"; // boolean flag
       }
     }
-    CAWO_REQUIRE(std::find(knownFlags.begin(), knownFlags.end(), name) !=
-                     knownFlags.end(),
-                 "unknown flag --" + name + where + " (valid: " +
-                     validList() + ")");
+    if (std::find(knownFlags.begin(), knownFlags.end(), name) ==
+        knownFlags.end())
+      throw UsageError("unknown flag --" + name + where + " (valid: " +
+                       validList() + ")");
     values_[name] = value;
   }
 }
@@ -57,13 +72,13 @@ std::int64_t CliArgs::getInt(const std::string& name,
                              std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parseFlag(name, it->second, parseInt64Strict, "an integer");
 }
 
 double CliArgs::getDouble(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parseFlag(name, it->second, parseDoubleStrict, "a number");
 }
 
 std::string CliArgs::getString(const std::string& name,
@@ -77,9 +92,10 @@ unsigned threadsFromArgs(const CliArgs& args, const std::string& name,
                          unsigned fallback) {
   const std::int64_t value =
       args.getInt(name, static_cast<std::int64_t>(fallback));
-  CAWO_REQUIRE(value >= 0, "flag --" + name +
-                               " must be >= 0 (0 = all hardware threads), "
-                               "got " + std::to_string(value));
+  if (value < 0)
+    throw UsageError("flag --" + name +
+                     " must be >= 0 (0 = all hardware threads), got " +
+                     std::to_string(value));
   return static_cast<unsigned>(value);
 }
 

@@ -6,7 +6,7 @@
 #   cmake -DBENCH=<binary> -DBENCH_ARGS="--tasks=30 ..." \
 #         -DGOLDEN=<file> [-DEXPECT_RC=<code>] [-DCAPTURE_STDERR=ON] \
 #         [-DINPUT_FILE=<stdin file>] [-DSCRUB_TIMINGS=ON] \
-#         [-DSOURCE_DIR=<dir>] -P run_bench_golden.cmake
+#         -P run_bench_golden.cmake
 #
 # EXPECT_RC   the exit code the run must end with (default 0).
 # CAPTURE_STDERR
@@ -18,8 +18,6 @@
 #             one or two decimals (the `wall ms`, `total ms` and
 #             `resolve ms` columns; ratios print three) become `<ms>`, and
 #             JSON `"*_ms": <number>` values become 0.
-# SOURCE_DIR  replace this path with `<src>` (error messages that name a
-#             source file).
 #
 # The figure goldens were captured from the pre-ProfileSource build; any
 # diff means a refactor changed experiment output, which is a bug unless
@@ -54,9 +52,6 @@ if(SCRUB_TIMINGS)
          actual "${actual}")
   string(REGEX REPLACE "(\"[a-z_]+_ms\"): [-+0-9.eE]+" "\\1: 0"
          actual "${actual}")
-endif()
-if(SOURCE_DIR)
-  string(REPLACE "${SOURCE_DIR}" "<src>" actual "${actual}")
 endif()
 
 file(READ ${GOLDEN} expected)

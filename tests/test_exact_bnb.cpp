@@ -6,8 +6,8 @@
 #include "core/carbon_cost.hpp"
 #include "core/cawosched.hpp"
 #include "exact/branch_and_bound.hpp"
-#include "exact/three_partition.hpp"
 #include "test_util.hpp"
+#include "three_partition.hpp"
 
 namespace cawo {
 namespace {

@@ -44,19 +44,24 @@ TEST(Strings, Padding) {
 }
 
 TEST(Cli, ParsesAllSupportedSyntaxes) {
-  const char* argv[] = {"prog", "--tasks=100", "--seed", "7", "--full"};
-  const CliArgs args(5, argv, {"tasks", "seed", "full", "unused"});
+  const char* argv[] = {"prog", "--tasks=100", "--seed", "7", "--full",
+                        "--offset=-3"};
+  const CliArgs args(6, argv, {"tasks", "seed", "full", "offset", "unused"});
   EXPECT_EQ(args.getInt("tasks", 0), 100);
   EXPECT_EQ(args.getInt("seed", 0), 7);
   EXPECT_TRUE(args.has("full"));
+  EXPECT_EQ(args.getInt("full", 0), 1); // a bare flag reads as 1
+  EXPECT_EQ(args.getInt("offset", 0), -3);
   EXPECT_FALSE(args.has("unused"));
   EXPECT_EQ(args.getInt("unused", 42), 42);
 }
 
 TEST(Cli, DoubleAndStringValues) {
-  const char* argv[] = {"prog", "--factor=1.5", "--name=pressWR-LS"};
-  const CliArgs args(3, argv, {"factor", "name"});
+  const char* argv[] = {"prog", "--factor=1.5", "--name=pressWR-LS",
+                        "--big=1e3"};
+  const CliArgs args(4, argv, {"factor", "name", "big"});
   EXPECT_DOUBLE_EQ(args.getDouble("factor", 0.0), 1.5);
+  EXPECT_DOUBLE_EQ(args.getDouble("big", 0.0), 1000.0);
   EXPECT_EQ(args.getString("name", ""), "pressWR-LS");
   EXPECT_EQ(args.getString("missing", "dflt"), "dflt");
 }
@@ -89,6 +94,49 @@ TEST(Cli, ThreadsFlagRejectsNegativeValues) {
   const char* argv[] = {"prog", "--threads=-2"};
   const CliArgs args(2, argv, {"threads"});
   EXPECT_THROW(threadsFromArgs(args, "threads", 1), PreconditionError);
+}
+
+/// The message of the UsageError `fn` throws ("" when it throws none).
+template <class Fn>
+std::string usageMessage(Fn fn) {
+  try {
+    fn();
+  } catch (const UsageError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, UsageErrorsCarryThePlainMessage) {
+  // No "precondition failed: <expr> at <file>:<line>" prefix: the text
+  // is for the user, and the same in every checkout.
+  const char* typo[] = {"prog", "--typo=1"};
+  EXPECT_EQ(usageMessage([&] { CliArgs(2, typo, {"tasks", "seed"}, "tool"); }),
+            "unknown flag --typo for tool (valid: --tasks, --seed)");
+  const char* positional[] = {"prog", "positional"};
+  EXPECT_EQ(usageMessage([&] { CliArgs(2, positional, {"tasks"}); }),
+            "unexpected positional argument: positional");
+  const char* threads[] = {"prog", "--threads=-2"};
+  EXPECT_EQ(usageMessage([&] {
+              threadsFromArgs(CliArgs(2, threads, {"threads"}), "threads", 1);
+            }),
+            "flag --threads must be >= 0 (0 = all hardware threads), got -2");
+}
+
+TEST(Cli, RejectsMalformedAndOutOfRangeNumbers) {
+  const char* argv[] = {"prog", "--tasks=3O", "--factor=abc", "--seed=1.5",
+                        "--ratio=0.5x", "--count=",
+                        "--big=99999999999999999999"};
+  const CliArgs args(7, argv,
+                     {"tasks", "factor", "seed", "ratio", "count", "big"});
+  EXPECT_EQ(usageMessage([&] { args.getInt("tasks", 0); }),
+            "--tasks: \"3O\" is not an integer");
+  EXPECT_EQ(usageMessage([&] { args.getDouble("factor", 0.0); }),
+            "--factor: \"abc\" is not a number");
+  EXPECT_THROW(args.getInt("seed", 0), UsageError);
+  EXPECT_THROW(args.getDouble("ratio", 0.0), UsageError);
+  EXPECT_THROW(args.getInt("count", 0), UsageError);
+  EXPECT_THROW(args.getInt("big", 0), UsageError);
 }
 
 } // namespace

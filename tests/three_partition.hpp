@@ -1,12 +1,38 @@
-#include "exact/three_partition.hpp"
+#pragma once
+
+// The reduction from 3-Partition used in the strong NP-completeness proof
+// of Theorem 4.3 (Appendix A.3): the class UCAS of instances with P
+// power-homogeneous processors (P_idle = 0, P_work = 1) and independent
+// tasks admits a zero-carbon schedule iff the 3-Partition instance is a
+// yes-instance. Reproducing the construction lets tests verify the
+// reduction's correctness on both yes- and no-instances.
 
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/enhanced_graph.hpp"
+#include "core/power_profile.hpp"
 #include "util/require.hpp"
+#include "util/types.hpp"
 
 namespace cawo {
 
-std::string validateThreePartition(const ThreePartitionInstance& inst) {
+struct ThreePartitionInstance {
+  std::vector<Work> items; ///< 3n positive integers
+  Work bound = 0;          ///< B with Σ items = n·B and B/4 < x < B/2
+};
+
+struct UcasInstance {
+  EnhancedGraph gc;
+  PowerProfile profile;
+  Time deadline = 0;
+};
+
+/// Validate the 3-Partition preconditions (Σ = nB, B/4 < x_i < B/2).
+/// Returns an empty string when valid, else a description.
+inline std::string validateThreePartition(const ThreePartitionInstance& inst) {
   if (inst.items.size() % 3 != 0 || inst.items.empty())
     return "item count must be a positive multiple of 3";
   const auto n = inst.items.size() / 3;
@@ -21,7 +47,13 @@ std::string validateThreePartition(const ThreePartitionInstance& inst) {
   return {};
 }
 
-UcasInstance buildUcasInstance(const ThreePartitionInstance& inst) {
+/// Build the UCAS scheduling instance of the reduction:
+/// 3n unit-power processors, 3n independent tasks (task i on processor i
+/// with length x_i), and 2n−1 alternating intervals — odd intervals of
+/// length B with budget 1, even "separator" intervals of length 1 with
+/// budget 0. Total carbon cost 0 is achievable iff the 3-Partition
+/// instance has a solution.
+inline UcasInstance buildUcasInstance(const ThreePartitionInstance& inst) {
   const std::string err = validateThreePartition(inst);
   CAWO_REQUIRE(err.empty(), "invalid 3-Partition instance: " + err);
   const auto m = inst.items.size(); // 3n tasks and processors

@@ -1,68 +1,22 @@
-// cawosched-cli — schedule a DOT workflow under a CSV green-power profile
-// with any solver from the registry, or run a declarative experiment
-// campaign. Full reference: docs/cli.md.
+// cawosched-cli — schedule a DOT workflow under a green-power profile with
+// any solver from the registry, run or query a declarative experiment
+// campaign, replay one instance online, or serve scheduling requests.
+// Full reference: docs/cli.md.
 //
-//   cawosched-cli --list-algos
-//   cawosched-cli --list-scenarios
-//   cawosched-cli --workflow=flow.dot [--profile=green.csv]
-//                 [--algo=<name|glob|comma list|all>] [--threads=N]
-//                 [--deadline-factor=2.0] [--nodes-per-type=2]
-//                 [--scenario=SPEC] [--intervals=24] [--alpha=0.5]
-//                 [--block-size=3] [--ls-radius=10] [--ls-restarts=N]
-//                 [--bnb-max-nodes=N] [--bnb-time-limit=SEC]
-//                 [--out=schedule.csv] [--gantt] [--seed=1]
-//   cawosched-cli campaign [--campaign=<file>] [--out=results.json]
-//                 [--summary] [--threads=N] [--quiet]
-//                 [--store=DIR] [--shard=i/N] [--resume]
-//                 [--group-commit=64] [--max-cells=N]
-//                 [--<axis>=<comma list> ...]   (overrides the file)
-//   cawosched-cli query --store=DIR [--solvers=GLOB,...]
-//                 [--scenarios=SPEC,...] [--families=a,b]
-//                 [--min-tasks=N] [--max-tasks=N]
-//                 [--deadline-factors=a,b] [--seeds=a,b]
-//                 [--instance-hash=HEX] [--feasible-only]
-//                 [--records[=FILE]] [--summary] [--count] [--quiet]
-//   cawosched-cli replay [--list-policies]
-//                 [--family=atacseq] [--tasks=60] [--nodes-per-type=2]
-//                 [--intervals=24] [--deadline-factor=2.0] [--seed=1]
-//                 [--forecast=SPEC] [--actual=SPEC] [--policy=SPEC,...]
-//                 [--algo=NAME] [--runtime-noise=A] [--runtime-seed=N]
-//                 [--out=replay.json]
-//   cawosched-cli serve [--port=N] [--workers=N] [--threads=N]
-//                 [--queue-capacity=64] [--cache-capacity=16]
-//                 [--default-timeout-ms=0] [--max-request-bytes=B]
-//                 [--block-size=3] [--ls-radius=10] [--quiet]
-//
-// The workflow is HEFT-mapped onto a Table 1 cluster, the enhanced graph
-// is built, and every selected solver runs against the profile. Without
-// --profile a power profile is generated over exactly the deadline
-// horizon from any registered profile-source spec (--scenario accepts
-// "S1" … "S4", "sine:period=24,amp=0.5", "trace:grid.csv,repeat=1", … —
-// see --list-scenarios and docs/formats.md). Per-solver diagnostics (carbon cost, wall time,
-// optimality flag, ratio vs ASAP) come from the uniform SolveResult;
-// optionally the best schedule is written as CSV or an ASCII Gantt chart.
-//
-// The campaign subcommand expands a cross-product of workflow families,
-// sizes, cluster sizes, scenarios, deadline factors and seeds (see
-// docs/formats.md for the campaign file format), runs every selected
-// solver on every instance in parallel, prints an aggregate summary and
-// optionally writes one JSON record per (instance, solver) cell. With
-// --store the records stream into a sharded, resumable on-disk result
-// store instead of RAM (see docs/formats.md, "Campaign result store");
-// the query subcommand filters and summarises such a store.
-//
-// Legacy spellings are still accepted: --variant=<name> equals
-// --algo=<name>, and --green-heft equals --algo=greenheft.
+// Each mode is one entry of the command table at the bottom of this file:
+// its subcommand word, accepted flags, --help text and body. main() is
+// the one driver: it picks the entry, parses its flags, answers --help,
+// a listing or a missing required flag, opens the trace session and runs
+// the body. Usage errors exit 2, runtime failures exit 1.
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
+#include <functional>
 #include <iostream>
-#include <mutex>
-#include <sstream>
+#include <limits>
+#include <memory>
 
 #include "core/asap.hpp"
-#include "core/carbon_cost.hpp"
 #include "core/schedule_io.hpp"
 #include "exp/campaign.hpp"
 #include "exp/campaign_runner.hpp"
@@ -93,36 +47,288 @@ namespace {
 
 using namespace cawo;
 
-/// Parse `--shard=i/N` (0-based index, total count) into store options.
-void parseShardFlag(const std::string& value, StoreOptions& options) {
-  const std::vector<std::string> parts = split(value, '/');
-  CAWO_REQUIRE(parts.size() == 2,
-               "--shard wants i/N (0-based), e.g. --shard=0/4 — got \"" +
-                   value + "\"");
-  options.shardIndex = static_cast<std::size_t>(
-      parseInt64Strict("--shard index", std::string(trim(parts[0]))));
-  options.shardCount = static_cast<std::size_t>(
-      parseInt64Strict("--shard count", std::string(trim(parts[1]))));
-  CAWO_REQUIRE(options.shardCount >= 1 &&
-                   options.shardIndex < options.shardCount,
-               "--shard=" + value + ": index must be 0-based and below "
-               "the shard count");
+/// --block-size, --ls-radius and --alpha, forwarded only when given: the
+/// solvers' own defaults (CaWoParams: 3 and 10) apply otherwise, and
+/// bracketed selections like --algo=greenheft[0.25] keep their inline
+/// parameter.
+SolverOptions tuningOptions(const CliArgs& args) {
+  SolverOptions options;
+  for (const char* key : {"block-size", "ls-radius"})
+    if (args.has(key)) options.setInt(key, args.getInt(key, 0));
+  if (args.has("alpha"))
+    options.setDouble("alpha", args.getDouble("alpha", 0.0));
+  return options;
 }
 
-/// The store-backed campaign path: stream records into one shard of the
-/// result store, then summarise (and optionally export) the merged store
-/// if every shard is complete.
-int runCampaignToStoreCommand(const CliArgs& args, const CampaignSpec& spec,
-                              const SolverOptions& options, bool quiet) {
-  StoreOptions storeOptions;
-  if (args.has("shard"))
-    parseShardFlag(args.getString("shard", ""), storeOptions);
-  storeOptions.resume = args.has("resume");
-  storeOptions.groupCommit =
-      static_cast<std::size_t>(args.getInt("group-commit", 64));
-  const std::string dir = args.getString("store", "");
-  CAWO_REQUIRE(!dir.empty(), "--store wants a directory path");
+/// --deadline-factor (default 2.0). Below 1.0 no schedule meets D.
+double deadlineFactorFlag(const CliArgs& args) {
+  const double factor = args.getDouble("deadline-factor", 2.0);
+  if (!(factor >= 1.0))
+    throw UsageError(
+        "deadline factor below 1.0 is infeasible by definition of D");
+  return factor;
+}
 
+// Default mode: schedule one DOT workflow.
+
+constexpr const char* kScheduleUsage =
+    R"(usage: cawosched-cli --workflow=flow.dot [--profile=green.csv] [--algo=name|glob|all]
+  [--threads=N] [--deadline-factor=2.0] [--nodes-per-type=2] [--scenario=SPEC]
+  [--intervals=24] [--alpha=0.5] [--block-size=3] [--ls-radius=10] [--ls-restarts=N]
+  [--ls-seed=N] [--bnb-max-nodes=N] [--bnb-time-limit=SEC]
+  [--out=schedule.csv] [--gantt] [--seed=1]
+  cawosched-cli --list-algos | --list-scenarios
+subcommands:
+  campaign  run a declarative experiment campaign (see campaign --help)
+  query     filter/summarise a campaign result store (see query --help)
+  replay    online forecast-vs-actual execution replay (see replay --help,
+            replay --list-policies)
+  serve     long-running scheduler daemon speaking newline-delimited JSON
+            over stdin/stdout and a local socket (see serve --help)
+SPEC is any registered profile source, e.g. S1, duck, sine:period=24,amp=0.5,
+trace:grid.csv,repeat=1 — see --list-scenarios.
+--trace=FILE writes a Perfetto-loadable Chrome trace of the solve;
+--trace-summary prints a per-span rollup to stderr.
+)";
+
+/// Outcome of one solver run (or the reason it was skipped).
+struct CliRun {
+  std::string name;
+  bool ran = false;
+  std::string error;
+  SolveResult result;
+};
+
+/// HEFT-map the workflow onto a Table 1 cluster, build the enhanced
+/// graph, run every selected solver against the profile, print the
+/// diagnostics table and optionally export the cheapest schedule.
+int runSchedule(const CliArgs& args) {
+  const double factor = deadlineFactorFlag(args);
+  const TaskGraph workflow = readDotFile(args.getString("workflow", ""));
+  const Platform cluster = Platform::scaled(
+      static_cast<int>(args.getInt("nodes-per-type", 2)));
+  const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+
+  // Fixed mapping and ordering from plain HEFT; carbon-aware mapping is
+  // a solver ("greenheft") rather than a CLI mode.
+  const HeftResult mapped = runHeft(workflow, cluster);
+  LinkPowerOptions linkPower;
+  linkPower.seed = seed;
+  const EnhancedGraph gc = EnhancedGraph::build(
+      workflow, cluster, mapped.mapping, linkPower, &mapped.startTimes);
+  const Time d = asapMakespan(gc);
+  const auto deadline =
+      static_cast<Time>(factor * static_cast<double>(d)) + 1;
+
+  // Power profile covering the deadline.
+  PowerProfile profile;
+  if (args.has("profile")) {
+    profile = readProfileCsvFile(args.getString("profile", ""));
+    CAWO_REQUIRE(profile.horizon() >= deadline,
+                 "profile horizon " + std::to_string(profile.horizon()) +
+                     " does not cover the deadline " +
+                     std::to_string(deadline) +
+                     " — extend the CSV or lower --deadline-factor");
+  } else {
+    Power sumWork = 0;
+    for (ProcId p = 0; p < gc.numProcs(); ++p) sumWork += gc.workPower(p);
+    ProfileRequest preq;
+    preq.horizon = deadline;
+    preq.sumIdle = gc.totalIdlePower();
+    preq.sumWork = sumWork;
+    preq.numIntervals = static_cast<int>(args.getInt("intervals", 24));
+    preq.seed = seed;
+    profile = generateProfile(args.getString("scenario", "S1"), preq);
+  }
+
+  const SolverRegistry& registry = SolverRegistry::global();
+  const std::vector<std::string> names =
+      registry.select(args.getString("algo", "pressWR-LS"));
+
+  SolverOptions options = tuningOptions(args);
+  if (args.has("ls-restarts"))
+    options.setInt("ls-restarts", args.getInt("ls-restarts", 1));
+  if (args.has("ls-seed"))
+    options.setInt("ls-seed", args.getInt("ls-seed", 0));
+  if (args.has("bnb-max-nodes"))
+    options.setInt("max-nodes", args.getInt("bnb-max-nodes", 0));
+  if (args.has("bnb-time-limit"))
+    options.setDouble("time-limit-sec",
+                      args.getDouble("bnb-time-limit", 120.0));
+  options.setInt("link-seed", static_cast<std::int64_t>(seed));
+
+  SolveRequest request;
+  request.gc = &gc;
+  request.profile = &profile;
+  request.deadline = deadline;
+  request.graph = &workflow;
+  request.platform = &cluster;
+  request.options = options;
+
+  // Run the selection, optionally across threads (0 = hardware). Solvers
+  // are independent and deterministic, so the parallelism only affects
+  // wall time, never results. A multi-solver selection fans out across
+  // solvers; a single solver gets the budget as intra-solve threads
+  // instead (local-search restart fan-out and wide candidate scans —
+  // equally deterministic).
+  std::vector<CliRun> runs(names.size());
+  const unsigned threads = threadsFromArgs(args, "threads", 1);
+  if (names.size() == 1) request.options.setInt("threads", threads);
+  parallelFor(names.size(), threads, [&](std::size_t i) {
+    runs[i].name = names[i];
+    try {
+      runs[i].result = registry.create(names[i])->solve(request);
+      runs[i].ran = true;
+    } catch (const std::exception& e) {
+      runs[i].error = e.what();
+    }
+  });
+
+  // Reference cost for the ratio column: the selection's own ASAP run if
+  // present, otherwise a dedicated baseline solve.
+  const Cost asapCost = [&]() {
+    for (const CliRun& run : runs)
+      if (run.name == "ASAP" && run.ran) return run.result.cost;
+    return registry.create("ASAP")->solve(request).cost;
+  }();
+
+  std::cout << "workflow      : " << workflow.numTasks() << " tasks, "
+            << gc.numNodes() - workflow.numTasks()
+            << " communication tasks\n"
+            << "cluster       : " << cluster.numProcessors()
+            << " compute nodes, " << gc.numLinks() << " active links\n"
+            << "ASAP makespan : " << d << "  deadline: " << deadline
+            << "\n\n";
+
+  TextTable table({"solver", "carbon cost", "vs ASAP", "wall ms", "optimal"});
+  for (const CliRun& run : runs) {
+    if (!run.ran) {
+      table.addRow({run.name, "-", "-", "-", "skipped"});
+      continue;
+    }
+    const SolveResult& r = run.result;
+    std::string ratio = "-";
+    if (asapCost > 0)
+      ratio = formatFixed(
+          static_cast<double>(r.cost) / static_cast<double>(asapCost), 3);
+    table.addRow({run.name, std::to_string(r.cost), ratio,
+                  formatFixed(r.wallMs, 2),
+                  r.provedOptimal ? "proved" : "-"});
+  }
+  table.print(std::cout);
+  for (const CliRun& run : runs)
+    if (!run.ran)
+      std::cout << "note: " << run.name << " skipped — " << run.error
+                << "\n";
+
+  // Export the cheapest feasible schedule. A re-mapping solver's schedule
+  // refers to its own enhanced graph and deadline, so the export uses the
+  // run's effective graph.
+  const CliRun* best = nullptr;
+  for (const CliRun& run : runs) {
+    if (!run.ran || !run.result.feasible) continue;
+    if (best == nullptr || run.result.cost < best->result.cost) best = &run;
+  }
+  const std::string out = args.getString("out", "");
+  if (!out.empty() || args.has("gantt"))
+    CAWO_REQUIRE(best != nullptr,
+                 "no feasible schedule to write — every selected solver "
+                 "failed or was skipped");
+  if (best != nullptr) {
+    const EnhancedGraph& bestGc =
+        best->result.remappedGc ? *best->result.remappedGc : gc;
+    if (!out.empty()) {
+      writeScheduleCsvFile(out, bestGc, best->result.schedule, &workflow);
+      std::cout << "\nschedule of " << best->name << " written to " << out
+                << (best->result.remappedGc ? " (re-mapped graph)" : "")
+                << "\n";
+    }
+    if (args.has("gantt")) {
+      std::cout << "\nGantt (" << best->name << "):\n";
+      printGantt(std::cout, bestGc, best->result.schedule,
+                 best->result.effectiveDeadline);
+    }
+  }
+  return 0;
+}
+
+// campaign: run a declarative experiment campaign, in memory or into a
+// sharded result store.
+
+constexpr const char* kCampaignUsage =
+    R"(usage: cawosched-cli campaign [--campaign=<file>] [--out=results.json] [--summary]
+  [--threads=N] [--quiet] [--name=label] [--families=atacseq,eager,...]
+  [--tasks=a,b] [--bacass-tasks=N] [--nodes-per-type=a,b] [--scenarios=SPEC,...|all]
+  [--deadline-factors=1.5,2.0] [--seeds=a,b] [--intervals=J] [--algos=SEL]
+  [--block-size=3] [--ls-radius=10] [--online=1] [--actual=SPEC]
+  [--policies=SPEC,...] [--runtime-noise=A]
+  [--store=DIR] [--shard=i/N] [--resume] [--group-commit=64] [--max-cells=N]
+With --online=1 every (instance, solver, policy) cell runs through the online
+replay engine (see `cawosched-cli replay --help`).
+The campaign file holds the same keys as the flags (key = value lines or a JSON
+object, see docs/formats.md); flags override the file. The scenarios axis takes
+any registered profile spec (--list-scenarios), e.g. S1,sine:period=24,amp=0.5,duck.
+With --store records stream into a sharded, resumable on-disk result store
+instead of RAM: --shard=i/N partitions the grid across N independent processes,
+--resume completes an interrupted run (only missing cells are solved), and
+`cawosched-cli query` filters the result (see docs/cli.md).
+--trace=FILE writes a Perfetto-loadable Chrome trace of the run;
+--trace-summary prints a per-span rollup to stderr (docs/observability.md).
+)";
+
+/// The store-backed run's options: `--shard=i/N` (0-based index, total
+/// count), --resume and --group-commit.
+StoreOptions storeOptionsFromArgs(const CliArgs& args) {
+  StoreOptions options;
+  options.resume = args.has("resume");
+  options.groupCommit =
+      static_cast<std::size_t>(args.getInt("group-commit", 64));
+  if (!args.has("shard")) return options;
+  const std::string value = args.getString("shard", "");
+  const std::string shape =
+      "--shard wants i/N (0-based), e.g. --shard=0/4 — got \"" + value + "\"";
+  const std::vector<std::string> parts = split(value, '/');
+  if (parts.size() != 2) throw UsageError(shape);
+  std::int64_t index = 0;
+  std::int64_t count = 0;
+  try {
+    index = parseInt64Strict("--shard", std::string(trim(parts[0])));
+    count = parseInt64Strict("--shard", std::string(trim(parts[1])));
+  } catch (const PreconditionError&) {
+    throw UsageError(shape);
+  }
+  if (index < 0 || count < 1 || index >= count)
+    throw UsageError("--shard=" + value +
+                     ": index must be 0-based and below the shard count");
+  options.shardIndex = static_cast<std::size_t>(index);
+  options.shardCount = static_cast<std::size_t>(count);
+  return options;
+}
+
+/// Print the summary and, with --out, write the campaign document through
+/// `writeJson(path)`; `records` is the document's record count.
+void reportCampaign(const CliArgs& args, const CampaignOutcome& outcome,
+                    std::size_t records,
+                    const std::function<void(const std::string&)>& writeJson) {
+  const bool quiet = args.has("quiet");
+  if (!quiet || !args.has("out"))
+    printCampaignSummary(std::cout, outcome, args.has("summary"));
+  if (!args.has("out")) return;
+  const std::string out = args.getString("out", "");
+  writeJson(out);
+  if (!quiet)
+    std::cout << "\n" << records << " JSON records written to " << out
+              << "\n";
+}
+
+/// Stream records into one shard of the result store, then summarise
+/// (and optionally export) the merged store if every shard is complete.
+int runCampaignToStoreCommand(const CliArgs& args,
+                              const StoreOptions& storeOptions,
+                              const CampaignSpec& spec,
+                              const SolverOptions& options) {
+  const bool quiet = args.has("quiet");
+  const std::string dir = args.getString("store", "");
   CampaignStoreWriter store(dir, spec, storeOptions);
   // Multi-process sweeps: label this shard's trace lane so merged traces
   // show the shards side by side (pid 1 is the unsharded default).
@@ -171,69 +377,14 @@ int runCampaignToStoreCommand(const CliArgs& args, const CampaignSpec& spec,
                 << "--out/--summary apply once complete\n";
     return 0;
   }
-
-  const CampaignOutcome outcome = summariseStore(reader);
-  if (!quiet || !args.has("out"))
-    printCampaignSummary(std::cout, outcome, args.has("summary"));
-  if (args.has("out")) {
-    const std::string out = args.getString("out", "results.json");
-    writeCampaignJsonFileFromStore(out, reader);
-    if (!quiet)
-      std::cout << "\n" << reader.totalCells() << " JSON records written "
-                << "to " << out << "\n";
-  }
+  reportCampaign(args, summariseStore(reader), reader.totalCells(),
+                 [&](const std::string& out) {
+                   writeCampaignJsonFileFromStore(out, reader);
+                 });
   return 0;
 }
 
-/// `cawosched-cli campaign ...` — run a declarative experiment campaign.
-/// `argv` starts at the flags after the subcommand word.
-int runCampaignCommand(int argc, const char* const* argv) {
-  const CliArgs args(argc, argv,
-                     {"campaign", "out", "summary", "quiet", "help", "name",
-                      "families", "tasks", "bacass-tasks", "nodes-per-type",
-                      "scenarios", "deadline-factors", "seeds", "intervals",
-                      "algos", "threads", "block-size", "ls-radius", "online",
-                      "actual", "policies", "runtime-noise", "store", "shard",
-                      "resume", "group-commit", "max-cells", "trace",
-                      "trace-summary"},
-                     "cawosched-cli campaign");
-  if (args.has("help")) {
-    std::cout
-        << "usage: cawosched-cli campaign [--campaign=<file>] "
-           "[--out=results.json] [--summary]\n"
-           "  [--threads=N] [--quiet] [--name=label] "
-           "[--families=atacseq,eager,...]\n"
-           "  [--tasks=a,b] [--bacass-tasks=N] [--nodes-per-type=a,b] "
-           "[--scenarios=SPEC,...|all]\n"
-           "  [--deadline-factors=1.5,2.0] [--seeds=a,b] [--intervals=J] "
-           "[--algos=SEL]\n"
-           "  [--block-size=3] [--ls-radius=10] [--online=1] "
-           "[--actual=SPEC]\n"
-           "  [--policies=SPEC,...] [--runtime-noise=A]\n"
-           "  [--store=DIR] [--shard=i/N] [--resume] [--group-commit=64] "
-           "[--max-cells=N]\n"
-           "With --online=1 every (instance, solver, policy) cell runs "
-           "through the online\nreplay engine (see `cawosched-cli replay "
-           "--help`).\n"
-           "The campaign file holds the same keys as the flags "
-           "(key = value lines or a JSON\nobject, see docs/formats.md); "
-           "flags override the file. The scenarios axis takes\nany "
-           "registered profile spec (--list-scenarios), e.g. "
-           "S1,sine:period=24,amp=0.5,duck.\n"
-           "With --store records stream into a sharded, resumable on-disk "
-           "result store\ninstead of RAM: --shard=i/N partitions the grid "
-           "across N independent processes,\n--resume completes an "
-           "interrupted run (only missing cells are solved), and\n"
-           "`cawosched-cli query` filters the result (see docs/cli.md).\n"
-           "--trace=FILE writes a Perfetto-loadable Chrome trace of the "
-           "run;\n--trace-summary prints a per-span rollup to stderr "
-           "(docs/observability.md).\n";
-    return 0;
-  }
-
-  obs::TraceSession trace(args.getString("trace", ""),
-                          args.has("trace-summary"));
-
+int runCampaignCommand(const CliArgs& args) {
   CampaignSpec spec;
   if (args.has("campaign"))
     spec = parseCampaignFile(args.getString("campaign", ""));
@@ -245,10 +396,18 @@ int runCampaignCommand(int argc, const char* const* argv) {
         "threads", "online", "actual", "policies", "runtime-noise"}) {
     if (args.has(key)) setCampaignKey(spec, key, args.getString(key, ""));
   }
+  const SolverOptions options = tuningOptions(args);
 
-  SolverOptions options;
-  options.setInt("block-size", args.getInt("block-size", 3));
-  options.setInt("ls-radius", args.getInt("ls-radius", 10));
+  const bool toStore = args.has("store");
+  for (const char* storeOnly :
+       {"shard", "resume", "group-commit", "max-cells"})
+    if (!toStore && args.has(storeOnly))
+      throw UsageError(std::string("--") + storeOnly +
+                       " needs --store=DIR (the in-memory path has no "
+                       "shards or resume)");
+  if (toStore && args.getString("store", "").empty())
+    throw UsageError("--store wants a directory path");
+  const StoreOptions storeOptions = storeOptionsFromArgs(args);
 
   const bool quiet = args.has("quiet");
   const std::vector<std::string> solvers = campaignSolverNames(spec);
@@ -261,60 +420,34 @@ int runCampaignCommand(int argc, const char* const* argv) {
               << spec.cellCount() * solvers.size() * spec.policyCount()
               << " cells)\n";
   }
-
-  for (const char* storeOnly : {"shard", "resume", "group-commit",
-                                "max-cells"})
-    CAWO_REQUIRE(args.has("store") || !args.has(storeOnly),
-                 std::string("--") + storeOnly +
-                     " needs --store=DIR (the in-memory path has no "
-                     "shards or resume)");
-  if (args.has("store"))
-    return runCampaignToStoreCommand(args, spec, options, quiet);
+  if (toStore)
+    return runCampaignToStoreCommand(args, storeOptions, spec, options);
 
   ProgressMeter meter(!quiet);
   const CampaignOutcome outcome = runCampaign(spec, options, std::ref(meter));
-
-  if (!quiet || !args.has("out"))
-    printCampaignSummary(std::cout, outcome, args.has("summary"));
-  if (args.has("out")) {
-    const std::string out = args.getString("out", "results.json");
-    writeCampaignJsonFile(out, outcome);
-    if (!quiet)
-      std::cout << "\n" << outcome.records.size() << " JSON records written "
-                << "to " << out << "\n";
-  }
+  reportCampaign(args, outcome, outcome.records.size(),
+                 [&](const std::string& out) {
+                   writeCampaignJsonFile(out, outcome);
+                 });
   return 0;
 }
 
-/// `cawosched-cli query ...` — filter and summarise a campaign result
-/// store without loading it into memory. `argv` starts after the
-/// subcommand word.
-int runQueryCommand(int argc, const char* const* argv) {
-  const CliArgs args(argc, argv,
-                     {"help", "store", "solvers", "scenarios", "families",
-                      "min-tasks", "max-tasks", "deadline-factors", "seeds",
-                      "instance-hash", "feasible-only", "records", "summary",
-                      "count", "quiet"},
-                     "cawosched-cli query");
-  if (args.has("help") || !args.has("store")) {
-    std::cout
-        << "usage: cawosched-cli query --store=DIR [--solvers=GLOB,...]\n"
-           "  [--scenarios=SPEC,...] [--families=a,b] [--min-tasks=N] "
-           "[--max-tasks=N]\n"
-           "  [--deadline-factors=a,b] [--seeds=a,b] "
-           "[--instance-hash=HEX]\n"
-           "  [--feasible-only] [--records[=FILE]] [--summary] [--count] "
-           "[--quiet]\n"
-           "Streams a campaign result store (campaign --store=DIR) "
-           "through the filters in\nmerged instance order. --records "
-           "emits the matching record lines (JSONL) to\nstdout or FILE; "
-           "--summary prints the per-solver aggregate over the matches;\n"
-           "--count prints only the match count. --solvers takes the same "
-           "glob syntax as\n--algos; online stores match the full "
-           "\"solver @ policy\" cell label.\n";
-    return args.has("help") ? 0 : 2;
-  }
+// query: filter and summarise a campaign result store without loading it
+// into memory.
 
+constexpr const char* kQueryUsage =
+    R"(usage: cawosched-cli query --store=DIR [--solvers=GLOB,...]
+  [--scenarios=SPEC,...] [--families=a,b] [--min-tasks=N] [--max-tasks=N]
+  [--deadline-factors=a,b] [--seeds=a,b] [--instance-hash=HEX]
+  [--feasible-only] [--records[=FILE]] [--summary] [--count] [--quiet]
+Streams a campaign result store (campaign --store=DIR) through the filters in
+merged instance order. --records emits the matching record lines (JSONL) to
+stdout or FILE; --summary prints the per-solver aggregate over the matches;
+--count prints only the match count. --solvers takes the same glob syntax as
+--algos; online stores match the full "solver @ policy" cell label.
+)";
+
+int runQueryCommand(const CliArgs& args) {
   CampaignStoreReader reader(args.getString("store", ""));
 
   StoreQuery query;
@@ -444,57 +577,30 @@ int runQueryCommand(int argc, const char* const* argv) {
   return 0;
 }
 
-// The three discovery listings print the shared serve/listings rendering,
-// so the CLI output and the serve daemon's `list` responses are the same
-// bytes by construction.
-int listPolicies() {
-  std::cout << policyListing().text;
-  return 0;
-}
+// replay: plan one instance against the forecast, bill it against the
+// actual, and compare rescheduling policies.
 
-/// `cawosched-cli replay ...` — execute one instance through the online
-/// replay engine: plan against the forecast, bill against the actual,
-/// compare rescheduling policies. `argv` starts after the subcommand word.
-int runReplayCommand(int argc, const char* const* argv) {
-  const CliArgs args(argc, argv,
-                     {"help", "list-policies", "family", "tasks",
-                      "nodes-per-type", "intervals", "deadline-factor",
-                      "seed", "forecast", "actual", "policy", "algo",
-                      "runtime-noise", "runtime-seed", "block-size",
-                      "ls-radius", "alpha", "out", "trace",
-                      "trace-summary"},
-                     "cawosched-cli replay");
-  if (args.has("help")) {
-    std::cout
-        << "usage: cawosched-cli replay [--list-policies]\n"
-           "  [--family=atacseq] [--tasks=60] [--nodes-per-type=2] "
-           "[--intervals=24]\n"
-           "  [--deadline-factor=2.0] [--seed=1] [--forecast=SPEC] "
-           "[--actual=SPEC]\n"
-           "  [--policy=SPEC,...] [--algo=NAME] [--runtime-noise=A] "
-           "[--runtime-seed=N]\n"
-           "  [--block-size=3] [--ls-radius=10] [--alpha=0.5] "
-           "[--out=replay.json]\n"
-           "The solver plans against --forecast (any profile spec; its "
-           "+noise modifier is\nread as forecast error) and execution is "
-           "billed against --actual (defaults to\nthe forecast's noisy "
-           "counterpart). Each --policy runs one replay; see\n"
-           "--list-policies and docs/cli.md for a walkthrough.\n"
-           "--trace=FILE / --trace-summary record per-event and "
-           "per-re-solve spans\n(docs/observability.md).\n";
-    return 0;
-  }
-  if (args.has("list-policies")) return listPolicies();
+constexpr const char* kReplayUsage =
+    R"(usage: cawosched-cli replay [--list-policies]
+  [--family=atacseq] [--tasks=60] [--nodes-per-type=2] [--intervals=24]
+  [--deadline-factor=2.0] [--seed=1] [--forecast=SPEC] [--actual=SPEC]
+  [--policy=SPEC,...] [--algo=NAME] [--runtime-noise=A] [--runtime-seed=N]
+  [--block-size=3] [--ls-radius=10] [--alpha=0.5] [--out=replay.json]
+The solver plans against --forecast (any profile spec; its +noise modifier is
+read as forecast error) and execution is billed against --actual (defaults to
+the forecast's noisy counterpart). Each --policy runs one replay; see
+--list-policies and docs/cli.md for a walkthrough.
+--trace=FILE / --trace-summary record per-event and per-re-solve spans
+(docs/observability.md).
+)";
 
-  obs::TraceSession trace(args.getString("trace", ""),
-                          args.has("trace-summary"));
-
+int runReplayCommand(const CliArgs& args) {
   InstanceSpec spec;
   spec.family = familyFromName(args.getString("family", "atacseq"));
   spec.targetTasks = static_cast<int>(args.getInt("tasks", 60));
   spec.nodesPerType = static_cast<int>(args.getInt("nodes-per-type", 2));
   spec.numIntervals = static_cast<int>(args.getInt("intervals", 24));
-  spec.deadlineFactor = args.getDouble("deadline-factor", 2.0);
+  spec.deadlineFactor = deadlineFactorFlag(args);
   spec.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
   spec.scenario = args.getString("forecast", "S1");
   const std::string actualSpec = args.getString("actual", "");
@@ -510,10 +616,7 @@ int runReplayCommand(int argc, const char* const* argv) {
   opts.runtimeNoise = args.getDouble("runtime-noise", 0.0);
   opts.runtimeSeed =
       static_cast<std::uint64_t>(args.getInt("runtime-seed", 1));
-  if (args.has("alpha"))
-    opts.solverOptions.setDouble("alpha", args.getDouble("alpha", 0.5));
-  opts.solverOptions.setInt("block-size", args.getInt("block-size", 3));
-  opts.solverOptions.setInt("ls-radius", args.getInt("ls-radius", 10));
+  opts.solverOptions = tuningOptions(args);
 
   const Instance inst = buildInstance(spec);
   std::cout << "instance      : " << inst.spec.label() << " ("
@@ -552,7 +655,7 @@ int runReplayCommand(int argc, const char* const* argv) {
       std::cout << "note: " << r.policy << " failed — " << r.error << "\n";
 
   if (args.has("out")) {
-    const std::string out = args.getString("out", "replay.json");
+    const std::string out = args.getString("out", "");
     std::ofstream file(out);
     CAWO_REQUIRE(file.good(), "cannot open result file for writing: " + out);
     JsonWriter w(file);
@@ -587,58 +690,30 @@ int runReplayCommand(int argc, const char* const* argv) {
   return 0;
 }
 
-int listAlgos() {
-  std::cout << algoListing().text;
-  return 0;
-}
+// serve: the scheduler-as-a-service daemon, speaking cawosched-serve-v1
+// newline-delimited JSON over stdin/stdout and, with --port, a loopback
+// TCP socket too.
 
-int listScenarios() {
-  std::cout << scenarioListing().text;
-  return 0;
-}
+constexpr const char* kServeUsage =
+    R"(usage: cawosched-cli serve [--port=N] [--workers=N] [--threads=N]
+  [--queue-capacity=64] [--cache-capacity=16] [--default-timeout-ms=0]
+  [--max-request-bytes=1048576] [--block-size=3] [--ls-radius=10] [--quiet]
+--workers sizes the request pool (0 = hardware); --threads sets the default
+intra-solve thread budget per request (0 = hardware; results never change).
+Long-running scheduler daemon: one JSON request per line on stdin, one JSON
+response per line on stdout (cawosched-serve-v1 — kinds: solve, replay, list,
+stats, shutdown; see docs/formats.md). With --port the same protocol is also
+served on 127.0.0.1:N (0 = ephemeral; the bound port is announced on stderr).
+The daemon exits on a shutdown request, or on stdin EOF when no --port is
+given. Repeated instances hit an LRU SolveContext cache (watch the `stats`
+request's cache_hits). Diagnostics go to stderr; stdout carries protocol
+bytes only.
+--trace=FILE writes per-request span trees (admission, queue wait, cache
+acquire, solve, respond) on exit; --trace-summary prints the rollup
+(docs/observability.md).
+)";
 
-/// `cawosched-cli serve ...` — the scheduler-as-a-service daemon: speak
-/// `cawosched-serve-v1` newline-delimited JSON over stdin/stdout and,
-/// with --port, a loopback TCP socket too. `argv` starts after the
-/// subcommand word. See docs/cli.md for a walkthrough.
-int runServeCommand(int argc, const char* const* argv) {
-  const CliArgs args(argc, argv,
-                     {"help", "port", "workers", "threads",
-                      "queue-capacity", "cache-capacity",
-                      "default-timeout-ms", "max-request-bytes",
-                      "block-size", "ls-radius", "quiet", "trace",
-                      "trace-summary"},
-                     "cawosched-cli serve");
-  if (args.has("help")) {
-    std::cout
-        << "usage: cawosched-cli serve [--port=N] [--workers=N] "
-           "[--threads=N]\n"
-           "  [--queue-capacity=64] [--cache-capacity=16] "
-           "[--default-timeout-ms=0]\n"
-           "  [--max-request-bytes=1048576] [--block-size=3] "
-           "[--ls-radius=10] [--quiet]\n"
-           "--workers sizes the request pool (0 = hardware); --threads "
-           "sets the default\nintra-solve thread budget per request "
-           "(0 = hardware; results never change).\n"
-           "Long-running scheduler daemon: one JSON request per line on "
-           "stdin, one JSON\nresponse per line on stdout "
-           "(cawosched-serve-v1 — kinds: solve, replay, list,\nstats, "
-           "shutdown; see docs/formats.md). With --port the same protocol "
-           "is also\nserved on 127.0.0.1:N (0 = ephemeral; the bound port "
-           "is announced on stderr).\nThe daemon exits on a shutdown "
-           "request, or on stdin EOF when no --port is\ngiven. Repeated "
-           "instances hit an LRU SolveContext cache (watch the `stats`\n"
-           "request's cache_hits). Diagnostics go to stderr; stdout "
-           "carries protocol\nbytes only.\n"
-           "--trace=FILE writes per-request span trees (admission, queue "
-           "wait, cache\nacquire, solve, respond) on exit; --trace-summary "
-           "prints the rollup\n(docs/observability.md).\n";
-    return 0;
-  }
-
-  obs::TraceSession trace(args.getString("trace", ""),
-                          args.has("trace-summary"));
-
+int runServeCommand(const CliArgs& args) {
   ServeOptions options;
   options.workers = static_cast<unsigned>(args.getInt("workers", 0));
   options.queueCapacity =
@@ -648,8 +723,7 @@ int runServeCommand(int argc, const char* const* argv) {
   options.defaultTimeoutMs = args.getInt("default-timeout-ms", 0);
   options.maxRequestBytes =
       static_cast<std::size_t>(args.getInt("max-request-bytes", 1 << 20));
-  options.solverDefaults.setInt("block-size", args.getInt("block-size", 3));
-  options.solverDefaults.setInt("ls-radius", args.getInt("ls-radius", 10));
+  options.solverDefaults = tuningOptions(args);
   if (args.has("threads"))
     options.solverDefaults.setInt("threads",
                                   threadsFromArgs(args, "threads", 1));
@@ -690,241 +764,99 @@ int runServeCommand(int argc, const char* const* argv) {
   return 0;
 }
 
-/// Outcome of one solver run (or the reason it was skipped).
-struct CliRun {
-  std::string name;
-  bool ran = false;
-  std::string error;
-  SolveResult result;
+// The command table and its driver.
+
+/// One mode of the CLI.
+struct Command {
+  std::string name;                  ///< subcommand word; "" = default mode
+  std::vector<std::string> flags;    ///< accepted flags, in error-list order
+  const char* usage;                 ///< the --help text
+  std::string required;              ///< without it: usage, exit 2
+  std::vector<std::string> listings; ///< --list-<what> (serve listingFor)
+  int (*run)(const CliArgs&);
 };
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"",
+       {"workflow", "profile", "algo", "deadline-factor", "nodes-per-type",
+        "scenario", "intervals", "alpha", "block-size", "ls-radius",
+        "ls-restarts", "ls-seed", "bnb-max-nodes", "bnb-time-limit",
+        "threads", "list-algos", "list-scenarios", "out", "gantt", "seed",
+        "help", "trace", "trace-summary"},
+       kScheduleUsage, "workflow", {"algos", "scenarios"}, runSchedule},
+      {"campaign",
+       {"campaign", "out", "summary", "quiet", "help", "name", "families",
+        "tasks", "bacass-tasks", "nodes-per-type", "scenarios",
+        "deadline-factors", "seeds", "intervals", "algos", "threads",
+        "block-size", "ls-radius", "online", "actual", "policies",
+        "runtime-noise", "store", "shard", "resume", "group-commit",
+        "max-cells", "trace", "trace-summary"},
+       kCampaignUsage, "", {}, runCampaignCommand},
+      {"query",
+       {"help", "store", "solvers", "scenarios", "families", "min-tasks",
+        "max-tasks", "deadline-factors", "seeds", "instance-hash",
+        "feasible-only", "records", "summary", "count", "quiet"},
+       kQueryUsage, "store", {}, runQueryCommand},
+      {"replay",
+       {"help", "list-policies", "family", "tasks", "nodes-per-type",
+        "intervals", "deadline-factor", "seed", "forecast", "actual",
+        "policy", "algo", "runtime-noise", "runtime-seed", "block-size",
+        "ls-radius", "alpha", "out", "trace", "trace-summary"},
+       kReplayUsage, "", {"policies"}, runReplayCommand},
+      {"serve",
+       {"help", "port", "workers", "threads", "queue-capacity",
+        "cache-capacity", "default-timeout-ms", "max-request-bytes",
+        "block-size", "ls-radius", "quiet", "trace", "trace-summary"},
+       kServeUsage, "", {}, runServeCommand},
+  };
+  return table;
+}
 
 } // namespace
 
 int main(int argc, char** argv) {
   using namespace cawo;
+  // A first argument that is not a flag names the subcommand.
+  const bool sub = argc > 1 && argv[1][0] != '-';
+  const std::string word = sub ? argv[1] : "";
+  const std::vector<Command>& table = commands();
+  const auto cmd = std::find_if(
+      table.begin(), table.end(), [&](const Command& c) {
+        return c.name == word && (!sub || !c.name.empty());
+      });
+  if (cmd == table.end()) {
+    std::string valid;
+    for (const Command& c : table)
+      if (!c.name.empty()) valid += (valid.empty() ? "" : ", ") + c.name;
+    std::cerr << "error: unknown subcommand \"" << word
+              << "\" for cawosched-cli (valid: " << valid << ")\n";
+    return 2;
+  }
+
   try {
-    if (argc > 1 && std::string(argv[1]) == "campaign")
-      return runCampaignCommand(argc - 1, argv + 1);
-    if (argc > 1 && std::string(argv[1]) == "replay")
-      return runReplayCommand(argc - 1, argv + 1);
-    if (argc > 1 && std::string(argv[1]) == "serve")
-      return runServeCommand(argc - 1, argv + 1);
-    if (argc > 1 && std::string(argv[1]) == "query")
-      return runQueryCommand(argc - 1, argv + 1);
-    if (argc > 1 && argv[1][0] != '-') {
-      std::cerr << "error: unknown subcommand \"" << argv[1]
-                << "\" for cawosched-cli (valid: campaign, query, replay, "
-                   "serve)\n";
+    const CliArgs args(sub ? argc - 1 : argc, sub ? argv + 1 : argv,
+                       cmd->flags,
+                       sub ? "cawosched-cli " + word : "cawosched-cli");
+    if (args.has("help")) {
+      std::cout << cmd->usage;
+      return 0;
+    }
+    for (const std::string& what : cmd->listings)
+      if (args.has("list-" + what)) {
+        std::cout << listingFor(what).text;
+        return 0;
+      }
+    if (!cmd->required.empty() && !args.has(cmd->required)) {
+      std::cout << cmd->usage;
       return 2;
     }
-
-    const CliArgs args(
-        argc, argv,
-        {"workflow", "profile", "algo", "variant", "deadline-factor",
-         "nodes-per-type", "scenario", "intervals", "green-heft", "alpha",
-         "block-size", "ls-radius", "ls-restarts", "ls-seed",
-         "bnb-max-nodes", "bnb-time-limit", "threads", "list-algos",
-         "list-scenarios", "out", "gantt", "seed", "help", "trace",
-         "trace-summary"},
-        "cawosched-cli");
-
-    if (args.has("list-algos")) return listAlgos();
-    if (args.has("list-scenarios")) return listScenarios();
-    if (args.has("help") || !args.has("workflow")) {
-      std::cout
-          << "usage: cawosched-cli --workflow=flow.dot "
-             "[--profile=green.csv] [--algo=name|glob|all]\n"
-             "  [--threads=N] [--deadline-factor=2.0] [--nodes-per-type=2] "
-             "[--scenario=SPEC]\n"
-             "  [--intervals=24] [--alpha=0.5] [--block-size=3] "
-             "[--ls-radius=10] [--ls-restarts=N]\n"
-             "  [--bnb-max-nodes=N] [--bnb-time-limit=SEC] "
-             "[--out=schedule.csv] [--gantt] [--seed=1]\n"
-             "  cawosched-cli --list-algos | --list-scenarios\n"
-             "subcommands:\n"
-             "  campaign  run a declarative experiment campaign "
-             "(see campaign --help)\n"
-             "  query     filter/summarise a campaign result store "
-             "(see query --help)\n"
-             "  replay    online forecast-vs-actual execution replay "
-             "(see replay --help,\n"
-             "            replay --list-policies)\n"
-             "  serve     long-running scheduler daemon speaking "
-             "newline-delimited JSON\n"
-             "            over stdin/stdout and a local socket "
-             "(see serve --help)\n"
-             "SPEC is any registered profile source, e.g. S1, duck, "
-             "sine:period=24,amp=0.5,\ntrace:grid.csv,repeat=1 — see "
-             "--list-scenarios.\n"
-             "--trace=FILE writes a Perfetto-loadable Chrome trace of the "
-             "solve;\n--trace-summary prints a per-span rollup to stderr.\n";
-      return args.has("help") ? 0 : 2;
-    }
-
     obs::TraceSession trace(args.getString("trace", ""),
                             args.has("trace-summary"));
-
-    const TaskGraph workflow = readDotFile(args.getString("workflow", ""));
-    const Platform cluster = Platform::scaled(
-        static_cast<int>(args.getInt("nodes-per-type", 2)));
-    const double factor = args.getDouble("deadline-factor", 2.0);
-    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
-
-    // Fixed mapping and ordering from plain HEFT; carbon-aware mapping is
-    // now a solver ("greenheft") rather than a CLI mode.
-    const HeftResult mapped = runHeft(workflow, cluster);
-    LinkPowerOptions linkPower;
-    linkPower.seed = seed;
-    const EnhancedGraph gc = EnhancedGraph::build(
-        workflow, cluster, mapped.mapping, linkPower, &mapped.startTimes);
-    const Time d = asapMakespan(gc);
-    const auto deadline =
-        static_cast<Time>(factor * static_cast<double>(d)) + 1;
-
-    // Power profile covering the deadline.
-    PowerProfile profile;
-    if (args.has("profile")) {
-      profile = readProfileCsvFile(args.getString("profile", ""));
-      CAWO_REQUIRE(profile.horizon() >= deadline,
-                   "profile horizon " + std::to_string(profile.horizon()) +
-                       " does not cover the deadline " +
-                       std::to_string(deadline) +
-                       " — extend the CSV or lower --deadline-factor");
-    } else {
-      Power sumWork = 0;
-      for (ProcId p = 0; p < gc.numProcs(); ++p) sumWork += gc.workPower(p);
-      ProfileRequest preq;
-      preq.horizon = deadline;
-      preq.sumIdle = gc.totalIdlePower();
-      preq.sumWork = sumWork;
-      preq.numIntervals = static_cast<int>(args.getInt("intervals", 24));
-      preq.seed = seed;
-      profile = generateProfile(args.getString("scenario", "S1"), preq);
-    }
-
-    // Solver selection: --algo wins, legacy --variant / --green-heft map
-    // onto it, default is the paper's strongest variant.
-    std::string selection = args.getString("algo", "");
-    if (selection.empty() && args.has("variant"))
-      selection = args.getString("variant", "");
-    if (selection.empty() && args.has("green-heft")) selection = "greenheft";
-    if (selection.empty()) selection = "pressWR-LS";
-
-    const SolverRegistry& registry = SolverRegistry::global();
-    const std::vector<std::string> names = registry.select(selection);
-
-    SolverOptions options;
-    // Only forward --alpha when given, so bracketed selections like
-    // --algo=greenheft[0.25] keep their inline parameter.
-    if (args.has("alpha"))
-      options.setDouble("alpha", args.getDouble("alpha", 0.5));
-    options.setInt("block-size", args.getInt("block-size", 3));
-    options.setInt("ls-radius", args.getInt("ls-radius", 10));
-    if (args.has("ls-restarts"))
-      options.setInt("ls-restarts", args.getInt("ls-restarts", 1));
-    if (args.has("ls-seed"))
-      options.setInt("ls-seed", args.getInt("ls-seed", 0));
-    if (args.has("bnb-max-nodes"))
-      options.setInt("max-nodes", args.getInt("bnb-max-nodes", 0));
-    if (args.has("bnb-time-limit"))
-      options.setDouble("time-limit-sec",
-                        args.getDouble("bnb-time-limit", 120.0));
-    options.setInt("link-seed", static_cast<std::int64_t>(seed));
-
-    SolveRequest request;
-    request.gc = &gc;
-    request.profile = &profile;
-    request.deadline = deadline;
-    request.graph = &workflow;
-    request.platform = &cluster;
-    request.options = options;
-
-    // Run the selection, optionally across threads (0 = hardware,
-    // negative rejected). Solvers are independent and deterministic, so
-    // the parallelism only affects wall time, never results. A
-    // multi-solver selection fans out across solvers; a single solver
-    // gets the budget as intra-solve threads instead (local-search
-    // restart fan-out and wide candidate scans — equally deterministic).
-    std::vector<CliRun> runs(names.size());
-    const unsigned threads = threadsFromArgs(args, "threads", 1);
-    if (names.size() == 1) request.options.setInt("threads", threads);
-    parallelFor(names.size(), threads, [&](std::size_t i) {
-      runs[i].name = names[i];
-      try {
-        runs[i].result = registry.create(names[i])->solve(request);
-        runs[i].ran = true;
-      } catch (const std::exception& e) {
-        runs[i].error = e.what();
-      }
-    });
-
-    // Reference cost for the ratio column: the selection's own ASAP run if
-    // present, otherwise a dedicated baseline solve.
-    const Cost asapCost = [&]() {
-      for (const CliRun& run : runs)
-        if (run.name == "ASAP" && run.ran) return run.result.cost;
-      return registry.create("ASAP")->solve(request).cost;
-    }();
-
-    std::cout << "workflow      : " << workflow.numTasks() << " tasks, "
-              << gc.numNodes() - workflow.numTasks()
-              << " communication tasks\n"
-              << "cluster       : " << cluster.numProcessors()
-              << " compute nodes, " << gc.numLinks() << " active links\n"
-              << "ASAP makespan : " << d << "  deadline: " << deadline
-              << "\n\n";
-
-    TextTable table(
-        {"solver", "carbon cost", "vs ASAP", "wall ms", "optimal"});
-    for (const CliRun& run : runs) {
-      if (!run.ran) {
-        table.addRow({run.name, "-", "-", "-", "skipped"});
-        continue;
-      }
-      const SolveResult& r = run.result;
-      std::string ratio = "-";
-      if (asapCost > 0)
-        ratio = formatFixed(
-            static_cast<double>(r.cost) / static_cast<double>(asapCost), 3);
-      table.addRow({run.name, std::to_string(r.cost), ratio,
-                    formatFixed(r.wallMs, 2),
-                    r.provedOptimal ? "proved" : "-"});
-    }
-    table.print(std::cout);
-    for (const CliRun& run : runs)
-      if (!run.ran)
-        std::cout << "note: " << run.name << " skipped — " << run.error
-                  << "\n";
-
-    // Export the cheapest feasible schedule. A re-mapping solver's
-    // schedule refers to its own enhanced graph and deadline, so the
-    // export uses the run's effective graph.
-    const CliRun* best = nullptr;
-    for (const CliRun& run : runs) {
-      if (!run.ran || !run.result.feasible) continue;
-      if (best == nullptr || run.result.cost < best->result.cost) best = &run;
-    }
-    const std::string out = args.getString("out", "");
-    if (!out.empty() || args.has("gantt"))
-      CAWO_REQUIRE(best != nullptr,
-                   "no feasible schedule to write — every selected solver "
-                   "failed or was skipped");
-    if (best != nullptr) {
-      const EnhancedGraph& bestGc =
-          best->result.remappedGc ? *best->result.remappedGc : gc;
-      if (!out.empty()) {
-        writeScheduleCsvFile(out, bestGc, best->result.schedule, &workflow);
-        std::cout << "\nschedule of " << best->name << " written to " << out
-                  << (best->result.remappedGc ? " (re-mapped graph)" : "")
-                  << "\n";
-      }
-      if (args.has("gantt")) {
-        std::cout << "\nGantt (" << best->name << "):\n";
-        printGantt(std::cout, bestGc, best->result.schedule,
-                   best->result.effectiveDeadline);
-      }
-    }
-    return 0;
+    return cmd->run(args);
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
