@@ -60,15 +60,6 @@ SolverOptions tuningOptions(const CliArgs& args) {
   return options;
 }
 
-/// --deadline-factor (default 2.0). Below 1.0 no schedule meets D.
-double deadlineFactorFlag(const CliArgs& args) {
-  const double factor = args.getDouble("deadline-factor", 2.0);
-  if (!(factor >= 1.0))
-    throw UsageError(
-        "deadline factor below 1.0 is infeasible by definition of D");
-  return factor;
-}
-
 // Default mode: schedule one DOT workflow.
 
 constexpr const char* kScheduleUsage =
@@ -103,7 +94,11 @@ struct CliRun {
 /// graph, run every selected solver against the profile, print the
 /// diagnostics table and optionally export the cheapest schedule.
 int runSchedule(const CliArgs& args) {
-  const double factor = deadlineFactorFlag(args);
+  // buildInstance's rule, which this mode's DOT path bypasses.
+  const double factor = args.getDouble("deadline-factor", 2.0);
+  if (!(factor >= 1.0))
+    throw UsageError(
+        "deadline factor below 1.0 is infeasible by definition of D");
   const TaskGraph workflow = readDotFile(args.getString("workflow", ""));
   const Platform cluster = Platform::scaled(
       static_cast<int>(args.getInt("nodes-per-type", 2)));
@@ -600,7 +595,7 @@ int runReplayCommand(const CliArgs& args) {
   spec.targetTasks = static_cast<int>(args.getInt("tasks", 60));
   spec.nodesPerType = static_cast<int>(args.getInt("nodes-per-type", 2));
   spec.numIntervals = static_cast<int>(args.getInt("intervals", 24));
-  spec.deadlineFactor = deadlineFactorFlag(args);
+  spec.deadlineFactor = args.getDouble("deadline-factor", 2.0);
   spec.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
   spec.scenario = args.getString("forecast", "S1");
   const std::string actualSpec = args.getString("actual", "");
