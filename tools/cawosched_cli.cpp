@@ -812,7 +812,8 @@ const std::vector<Command>& commands() {
 
 int main(int argc, char** argv) {
   using namespace cawo;
-  // A first argument that is not a flag names the subcommand.
+  // A first argument that is not a flag names the subcommand (an empty
+  // one matches none, not the default mode).
   const bool sub = argc > 1 && argv[1][0] != '-';
   const std::string word = sub ? argv[1] : "";
   const std::vector<Command>& table = commands();
