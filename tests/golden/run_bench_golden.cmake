@@ -17,7 +17,8 @@
 #             replace wall-clock values: table cells holding a number with
 #             one or two decimals (the `wall ms`, `total ms` and
 #             `resolve ms` columns; ratios print three) become `<ms>`, and
-#             JSON `"*_ms": <number>` values become 0.
+#             JSON `"*_ms"` values become 0 — every element of an array
+#             value too, so the element count is kept.
 #
 # The figure goldens were captured from the pre-ProfileSource build; any
 # diff means a refactor changed experiment output, which is a bug unless
@@ -52,6 +53,11 @@ if(SCRUB_TIMINGS)
          actual "${actual}")
   string(REGEX REPLACE "(\"[a-z_]+_ms\"): [-+0-9.eE]+" "\\1: 0"
          actual "${actual}")
+  string(REGEX MATCHALL "\"[a-z_]+_ms\": \\[[^]]*\\]" arrays "${actual}")
+  foreach(array IN LISTS arrays)
+    string(REGEX REPLACE "[-+0-9.eE]+(,|\\])" "0\\1" scrubbed "${array}")
+    string(REPLACE "${array}" "${scrubbed}" actual "${actual}")
+  endforeach()
 endif()
 
 file(READ ${GOLDEN} expected)
