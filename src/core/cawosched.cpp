@@ -48,14 +48,8 @@ Schedule runVariant(const SolveContext& ctx, const VariantSpec& spec,
   obs::TraceScope span("solve.variant");
   if (span.recording()) span.arg("variant", spec.name());
 
-  GreedyOptions gopts;
-  gopts.base = spec.base;
-  gopts.weighted = spec.weighted;
-  gopts.refined = spec.refined;
-  gopts.blockSize = params.blockSize;
-
   WallTimer timer;
-  Schedule s = scheduleGreedy(ctx, gopts);
+  Schedule s = scheduleGreedy(ctx, spec.greedyOptions(params.blockSize));
   if (stats) stats->greedyMs = timer.elapsedMs();
 
   if (spec.localSearch) {

@@ -33,6 +33,11 @@ struct VariantSpec {
   /// Paper-style name, e.g. "pressWR-LS".
   std::string name() const;
 
+  /// The greedy phase's options: this variant's score and intervals.
+  GreedyOptions greedyOptions(int blockSize) const {
+    return GreedyOptions{base, weighted, refined, blockSize};
+  }
+
   /// Parse a paper-style name; throws PreconditionError on unknown names.
   static VariantSpec parse(const std::string& name);
 };
@@ -46,9 +51,9 @@ struct CaWoParams {
   int blockSize = 3;
   Time lsRadius = 10;
 
-  /// Intra-solve worker threads (0 = hardware): local-search restart
-  /// fan-out and wide candidate scans. Schedules are bit-identical for
-  /// every value — the parallel kernels reduce in deterministic order.
+  /// Intra-solve worker threads (0 = hardware) for the local-search
+  /// restart fan-out. Schedules are bit-identical for every value — the
+  /// restart merge reduces in deterministic order.
   unsigned threads = 1;
 
   /// Local-search restarts (best-of-N; restart 0 is the unperturbed

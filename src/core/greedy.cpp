@@ -10,60 +10,73 @@
 
 namespace cawo {
 
-namespace {
-
-/// The greedy's working budget timeline: the (possibly k-block-refined)
-/// interval set loaded into a BudgetTree. Shared by the offline and the
-/// residual greedy so both consume from an identically seeded timeline —
-/// the actual == forecast parity pin depends on that. The context memoizes
-/// one built prototype per interval set; each run mutates a plain copy.
-BudgetTree makeBudgetTree(const SolveContext& ctx,
-                          const GreedyOptions& opts) {
-  return ctx.budgetTreePrototype(opts.refined, opts.blockSize);
-}
-
-} // namespace
-
 Schedule scheduleGreedy(const EnhancedGraph& gc, const PowerProfile& profile,
                         Time deadline, const GreedyOptions& opts) {
   const SolveContext ctx(gc, profile, deadline);
   return scheduleGreedy(ctx, opts);
 }
 
-Schedule scheduleGreedy(const SolveContext& ctx, const GreedyOptions& opts) {
-  obs::TraceScope span("greedy");
+Schedule scheduleGreedy(const SolveContext& ctx, const GreedyOptions& opts,
+                        const ResidualProblem* residual) {
+  obs::TraceScope span(residual != nullptr ? "greedy.residual" : "greedy");
   const EnhancedGraph& gc = ctx.gc();
   const PowerProfile& profile = ctx.profile();
   CAWO_REQUIRE(ctx.deadline() > 0, "deadline must be positive");
   CAWO_REQUIRE(profile.horizon() >= ctx.deadline(),
                "power profile must cover the deadline");
+  if (residual != nullptr) requireResidualFits(gc, *residual);
+  const auto isStarted = [&](TaskId v) {
+    return residual != nullptr &&
+           (*residual->started)[static_cast<std::size_t>(v)] != 0;
+  };
 
-  WindowState windows = ctx.windowState();
-  CAWO_REQUIRE(windows.feasible(),
+  // A residual run may start from the caller's incrementally maintained
+  // pinned-prefix windows; otherwise the pins are placed below (worklist
+  // repair — the fixpoint is placement-order independent). Drift may have
+  // emptied a residual window; only the offline instance must be feasible.
+  WindowState windows = residual != nullptr && residual->windows != nullptr
+                            ? *residual->windows
+                            : ctx.windowState();
+  CAWO_REQUIRE(residual != nullptr || windows.feasible(),
                "infeasible instance: deadline below ASAP makespan");
 
-  BudgetTree tree = makeBudgetTree(ctx, opts);
+  // The working budget timeline: the context memoizes one built prototype
+  // per interval set; each run mutates a plain copy.
+  BudgetTree tree = ctx.budgetTreePrototype(opts.refined, opts.blockSize);
+
+  // The pinned prefix already draws power over its effective execution
+  // windows — consume it up front so movable placements see the remaining
+  // budget, exactly as if the greedy itself had placed those nodes.
+  Schedule schedule(gc.numNodes());
+  std::size_t movable = static_cast<std::size_t>(gc.numNodes());
+  for (TaskId v = 0; v < gc.numNodes(); ++v) {
+    if (!isStarted(v)) continue;
+    --movable;
+    const Time a = residual->starts->start(v);
+    schedule.setStart(v, a);
+    if (residual->windows == nullptr) windows.place(v, a);
+    const Time b = std::min(
+        a + (*residual->durations)[static_cast<std::size_t>(v)],
+        profile.horizon());
+    if (a < b) tree.consume(a, b, gc.drawPower(v));
+  }
+  const Time release = residual != nullptr ? residual->releaseTime : 0;
 
   // Score-based processing order (scores use the *initial* EST/LST windows,
   // as in the paper; the windows then tighten as tasks get placed).
-  const std::vector<TaskId>& order =
-      ctx.scoreOrder(ScoreOptions{opts.base, opts.weighted});
-
-  Schedule schedule(gc.numNodes());
-  const std::size_t n = order.size();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const TaskId v = order[i];
-    const auto best = tree.maxInRange(windows.est(v), windows.lst(v));
-    const Time start = best.found ? best.begin : windows.est(v);
+  for (const TaskId v :
+       ctx.scoreOrder(ScoreOptions{opts.base, opts.weighted})) {
+    if (isStarted(v)) continue;
+    const Time lo = std::max(windows.est(v), release);
+    const auto best = tree.maxInRange(lo, windows.lst(v));
+    const Time start = best.found ? best.begin : lo;
 
     schedule.setStart(v, start);
 
-    const Time finish = start + gc.len(v);
     // Split the first/last touched interval at the task's boundaries, then
     // reduce the budget of every covered interval by the processor's draw.
     // The winner's directory locator skips the re-search for start's block.
-    const Time end = std::min(finish, profile.horizon());
+    const Time end = std::min(start + gc.len(v), profile.horizon());
     if (best.found)
       tree.consume(start, end, gc.drawPower(v), best.block);
     else
@@ -71,85 +84,6 @@ Schedule scheduleGreedy(const SolveContext& ctx, const GreedyOptions& opts) {
 
     // The update after the last placement is dead — no window is read
     // again — so it is skipped entirely.
-    if (i + 1 < n) windows.place(v, start);
-  }
-  return schedule;
-}
-
-Schedule scheduleGreedyResidual(const SolveContext& ctx,
-                                const GreedyOptions& opts,
-                                const GreedyResidual& residual) {
-  obs::TraceScope span("greedy.residual");
-  const EnhancedGraph& gc = ctx.gc();
-  const PowerProfile& profile = ctx.profile();
-  CAWO_REQUIRE(ctx.deadline() > 0, "deadline must be positive");
-  CAWO_REQUIRE(profile.horizon() >= ctx.deadline(),
-               "power profile must cover the deadline");
-  CAWO_REQUIRE(residual.starts != nullptr && residual.started != nullptr &&
-                   residual.durations != nullptr,
-               "residual greedy needs starts, started and durations");
-  const std::vector<std::uint8_t>& started = *residual.started;
-  CAWO_REQUIRE(started.size() == static_cast<std::size_t>(gc.numNodes()) &&
-                   residual.durations->size() == started.size(),
-               "residual vectors do not match the graph");
-
-  // Pinned-prefix windows: reuse the caller's incrementally maintained
-  // state when given, otherwise repair a fresh one pin by pin (worklist
-  // propagation — the fixpoint is placement-order independent).
-  WindowState windows = [&] {
-    if (residual.windows != nullptr) return *residual.windows;
-    WindowState w = ctx.windowState();
-    for (TaskId v = 0; v < gc.numNodes(); ++v)
-      if (started[static_cast<std::size_t>(v)])
-        w.place(v, residual.starts->start(v));
-    return w;
-  }();
-
-  BudgetTree tree = makeBudgetTree(ctx, opts);
-
-  // The pinned prefix already draws power over its effective execution
-  // windows — consume it up front so movable placements see the remaining
-  // budget, exactly as if the greedy itself had placed those nodes.
-  Schedule schedule(gc.numNodes());
-  std::size_t movable = 0;
-  for (TaskId v = 0; v < gc.numNodes(); ++v) {
-    if (!started[static_cast<std::size_t>(v)]) {
-      ++movable;
-      continue;
-    }
-    const Time a = residual.starts->start(v);
-    schedule.setStart(v, a);
-    const Time d = (*residual.durations)[static_cast<std::size_t>(v)];
-    const Time b = std::min(a + d, profile.horizon());
-    if (d == 0 || a >= b) continue;
-    const ProcId p = gc.procOf(v);
-    tree.consume(a, b, gc.idlePower(p) + gc.workPower(p));
-  }
-
-  const std::vector<TaskId>& order =
-      ctx.scoreOrder(ScoreOptions{opts.base, opts.weighted});
-
-  for (const TaskId v : order) {
-    if (started[static_cast<std::size_t>(v)]) continue;
-    const Time lo = std::max(windows.est(v), residual.releaseTime);
-    const auto best = lo <= windows.lst(v)
-                          ? tree.maxInRange(lo, windows.lst(v))
-                          : BudgetTree::MaxResult{};
-    const Time start = best.found ? best.begin : lo;
-
-    schedule.setStart(v, start);
-
-    const Time finish = start + gc.len(v);
-    const ProcId p = gc.procOf(v);
-    const Time end = std::min(finish, profile.horizon());
-    const Power draw = gc.idlePower(p) + gc.workPower(p);
-    // `start == best.begin` only when the query found a segment; the
-    // locator is only valid then.
-    if (best.found && start == best.begin)
-      tree.consume(start, end, draw, best.block);
-    else
-      tree.consume(start, end, draw);
-
     if (--movable > 0) windows.place(v, start);
   }
   return schedule;

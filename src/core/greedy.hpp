@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-
 #include "core/enhanced_graph.hpp"
 #include "core/power_profile.hpp"
 #include "core/schedule.hpp"
@@ -21,7 +19,8 @@
 /// `WindowState` worklist propagation, instead of the paper-literal full
 /// sweep (same fixpoint, so the schedules are bit-identical). The window
 /// update after the *last* placement is dead (nobody reads the windows
-/// again) and is skipped.
+/// again) and is skipped. The online engine's mid-execution re-solves run
+/// the same loop over a `ResidualProblem` (core/schedule.hpp).
 
 namespace cawo {
 
@@ -45,35 +44,15 @@ Schedule scheduleGreedy(const EnhancedGraph& gc, const PowerProfile& profile,
 
 /// Same algorithm, drawing the initial windows, the refined interval set
 /// and the score order from the shared per-instance context.
-Schedule scheduleGreedy(const SolveContext& ctx, const GreedyOptions& opts);
-
-class WindowState;
-
-/// Inputs of a pinned-prefix (residual) greedy run — the core-level mirror
-/// of `ResidualProblem` (solver/solver.hpp), kept dependency-free so the
-/// core layer does not include the solver headers.
-struct GreedyResidual {
-  const Schedule* starts = nullptr;   ///< pinned starts of started nodes
-  const std::vector<std::uint8_t>* started = nullptr;
-  /// Effective durations: actual for completed nodes, ω(u) otherwise.
-  const std::vector<Time>* durations = nullptr;
-  Time releaseTime = 0;               ///< movable nodes start no earlier
-  /// Optional pinned-prefix window state maintained incrementally by the
-  /// caller (EST = LST = pinned start for every started node). When null,
-  /// the run seeds fresh windows from the context and `place`s each
-  /// started node — the same fixpoint, paid per call.
-  const WindowState* windows = nullptr;
-};
-
-/// Greedy re-scheduling of the movable remainder of a partially executed
-/// instance: started nodes stay pinned, their power draw is pre-consumed
+///
+/// With a `residual` (a partially executed instance; null is the offline
+/// problem) started nodes stay pinned, their power draw is pre-consumed
 /// from the budget timeline over their *effective* execution windows, and
-/// the remaining nodes are placed in the context's score order with start
-/// lower bound max(EST, releaseTime). Returns a complete schedule (pinned
-/// prefix + new starts). The result may be infeasible when execution drift
-/// has emptied a window — callers check with `validateResidualSchedule`.
-Schedule scheduleGreedyResidual(const SolveContext& ctx,
-                                const GreedyOptions& opts,
-                                const GreedyResidual& residual);
+/// the movable nodes are placed in the context's score order with start
+/// lower bound max(EST, releaseTime) on the pinned-prefix windows. The
+/// result may then be infeasible when execution drift has emptied a
+/// window — callers check with `validateSchedule(..., residual)`.
+Schedule scheduleGreedy(const SolveContext& ctx, const GreedyOptions& opts,
+                        const ResidualProblem* residual = nullptr);
 
 } // namespace cawo

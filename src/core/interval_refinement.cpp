@@ -1,53 +1,49 @@
 #include "core/interval_refinement.hpp"
 
 #include <algorithm>
-#include <atomic>
 
-#include "util/parallel.hpp"
 #include "util/require.hpp"
 
 namespace cawo {
 
 namespace {
 
-/// Emit every candidate cut point of processor `p` into `emit(t)`,
+/// Emit every candidate cut point of every processor into `emit(t)`,
 /// t guaranteed in (0, horizon). Shared by the dense and sparse paths.
 template <typename Emit>
-void emitCutsForProc(const EnhancedGraph& gc,
-                     const std::vector<Time>& boundaries, Time horizon, int k,
-                     ProcId p, Emit&& emit) {
-  const auto order = gc.procOrder(p);
-  const std::size_t np = order.size();
-  if (np == 0) return;
+void emitCuts(const EnhancedGraph& gc, const std::vector<Time>& boundaries,
+              Time horizon, int k, Emit&& emit) {
+  // Prefix lengths of a processor's task sequence for O(1) block sums;
+  // one buffer serves every processor.
+  std::vector<Time> prefix;
+  for (ProcId p = 0; p < gc.numProcs(); ++p) {
+    const auto order = gc.procOrder(p);
+    const std::size_t np = order.size();
+    prefix.resize(np + 1);
+    prefix[0] = 0;
+    for (std::size_t i = 0; i < np; ++i)
+      prefix[i + 1] = prefix[i] + gc.len(order[i]);
 
-  // Prefix lengths of the processor's task sequence for O(1) block sums.
-  // Thread-local so the worker that handles many processors allocates the
-  // buffer once, not once per processor.
-  thread_local std::vector<Time> prefix;
-  prefix.resize(np + 1);
-  prefix[0] = 0;
-  for (std::size_t i = 0; i < np; ++i)
-    prefix[i + 1] = prefix[i] + gc.len(order[i]);
-
-  for (std::size_t first = 0; first < np; ++first) {
-    const std::size_t lastLimit =
-        std::min(np, first + static_cast<std::size_t>(k));
-    for (std::size_t last = first + 1; last <= lastLimit; ++last) {
-      // Block covers order[first .. last-1].
-      const Time blockLen = prefix[last] - prefix[first];
-      for (const Time e : boundaries) {
-        // Block starts at e: task m starts at e + (prefix[m]-prefix[first])
-        if (e + blockLen <= horizon) {
-          for (std::size_t m = first; m < last; ++m) {
-            const Time t = e + (prefix[m] - prefix[first]);
-            if (t > 0 && t < horizon) emit(t);
+    for (std::size_t first = 0; first < np; ++first) {
+      const std::size_t lastLimit =
+          std::min(np, first + static_cast<std::size_t>(k));
+      for (std::size_t last = first + 1; last <= lastLimit; ++last) {
+        // Block covers order[first .. last-1].
+        const Time blockLen = prefix[last] - prefix[first];
+        for (const Time e : boundaries) {
+          // Block starts at e: task m starts at e + (prefix[m]-prefix[first])
+          if (e + blockLen <= horizon) {
+            for (std::size_t m = first; m < last; ++m) {
+              const Time t = e + (prefix[m] - prefix[first]);
+              if (t > 0 && t < horizon) emit(t);
+            }
           }
-        }
-        // Block ends at e: task m starts at e − (prefix[last]-prefix[m]).
-        if (e - blockLen >= 0) {
-          for (std::size_t m = first; m < last; ++m) {
-            const Time t = e - (prefix[last] - prefix[m]);
-            if (t > 0 && t < horizon) emit(t);
+          // Block ends at e: task m starts at e − (prefix[last]-prefix[m]).
+          if (e - blockLen >= 0) {
+            for (std::size_t m = first; m < last; ++m) {
+              const Time t = e - (prefix[last] - prefix[m]);
+              if (t > 0 && t < horizon) emit(t);
+            }
           }
         }
       }
@@ -58,41 +54,29 @@ void emitCutsForProc(const EnhancedGraph& gc,
 /// Horizon cap for the dense mark table (bytes). Block-alignment emits
 /// O(procs · np · k² · |boundaries|) candidate times with massive
 /// duplication; below this cap a byte-per-time-unit table replaces the
-/// collect-then-sort entirely, and because marking is idempotent and
-/// commutative the result is independent of emission order — and thus of
-/// the thread count.
+/// collect-then-sort entirely.
 constexpr Time kDenseHorizonLimit = Time(1) << 26;
 
 } // namespace
 
 std::vector<Time> refinementCutPoints(const EnhancedGraph& gc,
                                       const PowerProfile& profile, int k,
-                                      unsigned threads,
                                       RefinementScratch* scratch) {
   CAWO_REQUIRE(k >= 1, "block size must be at least 1");
   const Time horizon = profile.horizon();
   const std::vector<Time> boundaries = profile.boundaries();
-  const std::size_t numProcs = static_cast<std::size_t>(gc.numProcs());
 
   if (horizon > 0 && horizon <= kDenseHorizonLimit) {
-    // Dense path: one byte per time unit, written through relaxed
-    // `atomic_ref`s. Relaxed is enough — every writer stores the same value
-    // and parallelFor's join synchronises the (plain) readers below. The
-    // table lives in the caller's scratch when given, so repeated
-    // refinements reuse the allocation instead of faulting a fresh one.
+    // Dense path: one byte per time unit. The table lives in the caller's
+    // scratch when given, so repeated refinements reuse the allocation
+    // instead of faulting a fresh one.
     const auto n = static_cast<std::size_t>(horizon);
     RefinementScratch local;
     RefinementScratch& s = scratch != nullptr ? *scratch : local;
     s.marks.assign(n, 0);
     std::uint8_t* const marks = s.marks.data();
-    parallelFor(numProcs, threads, [&](std::size_t p) {
-      emitCutsForProc(gc, boundaries, horizon, k, static_cast<ProcId>(p),
-                      [&](Time t) {
-                        std::atomic_ref<std::uint8_t>(
-                            marks[static_cast<std::size_t>(t)])
-                            .store(1, std::memory_order_relaxed);
-                      });
-    });
+    emitCuts(gc, boundaries, horizon, k,
+             [&](Time t) { marks[static_cast<std::size_t>(t)] = 1; });
     // Times that are already interval boundaries are not *new* cut points.
     for (const Time b : boundaries)
       if (b > 0 && b < horizon) marks[static_cast<std::size_t>(b)] = 0;
@@ -102,17 +86,9 @@ std::vector<Time> refinementCutPoints(const EnhancedGraph& gc,
     return fresh;
   }
 
-  // Sparse fallback (very long horizons): collect per processor, then
-  // sort + unique. Still deterministic — per-processor buckets are merged
-  // in processor order regardless of completion order.
-  std::vector<std::vector<Time>> perProc(numProcs);
-  parallelFor(numProcs, threads, [&](std::size_t p) {
-    emitCutsForProc(gc, boundaries, horizon, k, static_cast<ProcId>(p),
-                    [&](Time t) { perProc[p].push_back(t); });
-  });
+  // Sparse fallback (very long horizons): collect, then sort + unique.
   std::vector<Time> cuts;
-  for (const auto& bucket : perProc)
-    cuts.insert(cuts.end(), bucket.begin(), bucket.end());
+  emitCuts(gc, boundaries, horizon, k, [&](Time t) { cuts.push_back(t); });
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
   std::vector<Time> sortedBoundaries = boundaries;
@@ -146,10 +122,8 @@ std::vector<Interval> splitIntervalsAt(std::span<const Interval> intervals,
 
 std::vector<Interval> refineIntervals(const EnhancedGraph& gc,
                                       const PowerProfile& profile, int k,
-                                      unsigned threads,
                                       RefinementScratch* scratch) {
-  const std::vector<Time> cuts =
-      refinementCutPoints(gc, profile, k, threads, scratch);
+  const std::vector<Time> cuts = refinementCutPoints(gc, profile, k, scratch);
   return splitIntervalsAt(profile.intervals(), cuts);
 }
 

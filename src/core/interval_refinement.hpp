@@ -29,22 +29,17 @@ struct RefinementScratch {
   std::vector<std::uint8_t> marks;
 };
 
-/// Candidate cut points in (0, horizon), sorted and deduplicated.
-/// `threads` parallelises cut generation across processors (0 = hardware);
-/// the result is bit-identical for every thread count — duplicates are
-/// folded through an order-independent mark table (or a post-merge sort on
-/// the sparse fallback path), never through arrival order.
-/// `scratch` (optional) supplies the reusable mark table.
+/// Candidate cut points in (0, horizon), sorted and deduplicated through a
+/// dense mark table (or a sort on the sparse fallback path for very long
+/// horizons). `scratch` (optional) supplies the reusable mark table.
 std::vector<Time> refinementCutPoints(const EnhancedGraph& gc,
                                       const PowerProfile& profile, int k,
-                                      unsigned threads = 1,
                                       RefinementScratch* scratch = nullptr);
 
 /// The refined interval list: the profile's intervals split at every cut
 /// point, budgets inherited from the containing original interval.
 std::vector<Interval> refineIntervals(const EnhancedGraph& gc,
                                       const PowerProfile& profile, int k,
-                                      unsigned threads = 1,
                                       RefinementScratch* scratch = nullptr);
 
 /// Split the given contiguous interval list at the given sorted cut points.

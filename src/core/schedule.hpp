@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -9,9 +10,12 @@
 /// \file schedule.hpp
 /// A schedule assigns a start time σ(u) to every node of the enhanced graph
 /// (compute *and* communication tasks). Validation checks precedence,
-/// deadline, and per-processor exclusivity.
+/// deadline, and per-processor exclusivity — offline, or against a
+/// `ResidualProblem` whose started nodes are pinned.
 
 namespace cawo {
+
+class WindowState;
 
 class Schedule {
 public:
@@ -40,6 +44,37 @@ private:
   std::vector<Time> start_;
 };
 
+/// A residual scheduling problem: part of the instance has already
+/// *executed* (the online replay engine's completed and running tasks) and
+/// only the remaining nodes are movable. The offline problem is the
+/// residual problem with nothing started, release time 0 and planned
+/// durations, so every function taking a `const ResidualProblem*` reads
+/// null as exactly that. Pointed-to objects must outlive the call.
+///
+/// Contract: `starts`/`started` pin every started node at its observed
+/// start time; `durations[u]` is the node's effective duration — the
+/// *actual* runtime for completed nodes, the planned ω(u) estimate for
+/// running and unstarted ones. Movable nodes must be scheduled no earlier
+/// than `releaseTime` (the wall-clock now; every completed node has
+/// finished by then). `windows` optionally hands the solver the engine's
+/// incrementally maintained pinned-prefix EST/LST state so the re-solve
+/// starts from the repaired fixpoint instead of re-pinning from scratch;
+/// when given it must describe exactly the (gc, deadline, started-set)
+/// of the problem.
+struct ResidualProblem {
+  const Schedule* starts = nullptr;
+  const std::vector<std::uint8_t>* started = nullptr;
+  const std::vector<Time>* durations = nullptr;
+  Time releaseTime = 0;
+  const WindowState* windows = nullptr;
+};
+
+/// Throws PreconditionError unless `residual` describes a partial
+/// execution of `gc`: every pointer set, one start, flag and duration per
+/// node, and a non-negative release time.
+void requireResidualFits(const EnhancedGraph& gc,
+                         const ResidualProblem& residual);
+
 struct ValidationResult {
   bool ok = true;
   std::string message; ///< empty when ok; first violation otherwise
@@ -48,10 +83,17 @@ struct ValidationResult {
 };
 
 /// Check that `s` is a feasible schedule for `gc` under deadline `deadline`:
-/// all starts set and non-negative, every node finishes by the deadline,
-/// every precedence edge of Gc is respected, and no two nodes overlap on the
-/// same (enhanced) processor.
+/// the size matches the graph, all starts are set and non-negative, every
+/// node finishes by the deadline, every precedence edge of Gc is respected,
+/// and no two nodes overlap on the same (enhanced) processor.
+///
+/// With a `residual` (which must fit `gc`), started nodes must sit at their
+/// pinned starts and occupy their processor for their effective duration —
+/// a task that ran short frees it early. Only movable nodes must start at
+/// or after the release time and finish by the deadline with ω(u), and
+/// only edges into movable nodes are checked.
 ValidationResult validateSchedule(const EnhancedGraph& gc, const Schedule& s,
-                                  Time deadline);
+                                  Time deadline,
+                                  const ResidualProblem* residual = nullptr);
 
 } // namespace cawo

@@ -54,8 +54,8 @@ const std::vector<Interval>& SolveContext::refinedIntervals(
   obs::TraceScope span("context.refine");
   span.arg("block_size", static_cast<std::int64_t>(blockSize));
   return refinedByBlockSize_
-      .emplace(blockSize, refineIntervals(*gc_, *profile_, blockSize,
-                                          threads_, &refineScratch_))
+      .emplace(blockSize,
+               refineIntervals(*gc_, *profile_, blockSize, &refineScratch_))
       .first->second;
 }
 

@@ -30,9 +30,9 @@
 /// caches are unsynchronized, so one thread at a time fills or reads a
 /// context — the campaign runner solves an instance's cells one after
 /// another on one context, the CLI gives each solver its own, and the
-/// serve daemon solves under the cache entry's mutex. The intra-solve
-/// parallel kernels (refinement marking, local-search scans and
-/// restarts) work on their own state and only read the context.
+/// serve daemon solves under the cache entry's mutex. Every lazy artifact
+/// is computed serially; the one intra-solve fan-out, local-search
+/// restarts, works on its own state and never touches the context.
 
 namespace cawo {
 
@@ -83,13 +83,6 @@ public:
   /// windows (no Kahn passes) — one per greedy run.
   WindowState windowState() const;
 
-  /// Worker threads (0 = hardware) used when a lazily computed artifact
-  /// supports internal parallelism (today: the dense interval-refinement
-  /// mark pass). Never changes any artifact — those parallel paths are
-  /// order-independent by construction.
-  void setThreads(unsigned threads) { threads_ = threads; }
-  unsigned threads() const { return threads_; }
-
 private:
   const EnhancedGraph* gc_;
   const PowerProfile* profile_;
@@ -106,7 +99,6 @@ private:
   mutable std::map<std::pair<int, bool>, std::vector<TaskId>> orders_;
   /// key: blockSize for refined sets, −1 for the raw profile intervals.
   mutable std::map<int, BudgetTree> budgetTrees_;
-  unsigned threads_ = 1;
 };
 
 } // namespace cawo

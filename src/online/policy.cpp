@@ -150,12 +150,6 @@ PolicyPtr ReschedulePolicyRegistry::resolve(const std::string& specText) const {
   return policy;
 }
 
-ReschedulePolicyRegistrar::ReschedulePolicyRegistrar(
-    PolicyInfo info, ReschedulePolicyRegistry::Factory factory) {
-  ReschedulePolicyRegistry::global().registerPolicy(std::move(info),
-                                                    std::move(factory));
-}
-
 // ---------------------------------------------------------------------------
 // Built-in policies
 // ---------------------------------------------------------------------------

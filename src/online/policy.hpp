@@ -27,9 +27,10 @@
 ///
 /// The `ReschedulePolicyRegistry` mirrors `SolverRegistry` and
 /// `ProfileSourceRegistry`: built-ins self-register on first use, new
-/// policies plug in via `ReschedulePolicyRegistrar`, and every surface
-/// that takes a policy (`cawosched-cli replay`, the campaign `policies`
-/// axis, `bench_online_regret`) accepts any registered spec.
+/// policies plug in through `ReschedulePolicyRegistry::global()
+/// .registerPolicy`, and every surface that takes a policy
+/// (`cawosched-cli replay`, the campaign `policies` axis,
+/// `bench_online_regret`) accepts any registered spec.
 
 namespace cawo {
 
@@ -146,13 +147,6 @@ private:
   const Entry* find(const std::string& name) const;
 
   std::vector<Entry> entries_; // registration order == listing order
-};
-
-/// RAII helper: registers a policy before main() runs.
-class ReschedulePolicyRegistrar {
-public:
-  ReschedulePolicyRegistrar(PolicyInfo info,
-                            ReschedulePolicyRegistry::Factory factory);
 };
 
 /// Register the built-in policies into `registry` (called once by

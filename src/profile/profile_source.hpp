@@ -31,11 +31,12 @@
 /// behaviour is bit-identical; every other source is deterministic unless
 /// a `+noise` modifier is given.
 ///
-/// The `ProfileSourceRegistry` mirrors `SolverRegistry` (PR 1): sources
-/// self-register on first use, new sources plug in via
-/// `ProfileSourceRegistrar`, and everything that used to accept a scenario
-/// name — the campaign axis, the CLI, the bench binaries — now accepts any
-/// registered spec. Grammar reference: docs/formats.md.
+/// The `ProfileSourceRegistry` mirrors `SolverRegistry`: built-in sources
+/// self-register on first use, new sources plug in through
+/// `ProfileSourceRegistry::global().registerSource`, and everything that
+/// used to accept a scenario name — the campaign axis, the CLI, the bench
+/// binaries — now accepts any registered spec. Grammar reference:
+/// docs/formats.md.
 
 namespace cawo {
 
@@ -140,16 +141,6 @@ private:
   const Entry* find(const std::string& source) const;
 
   std::vector<Entry> entries_; // registration order == listing order
-};
-
-/// RAII helper: registers a source before main() runs.
-class ProfileSourceRegistrar {
-public:
-  ProfileSourceRegistrar(ProfileSourceInfo info,
-                         ProfileSourceRegistry::Generator generator) {
-    ProfileSourceRegistry::global().registerSource(std::move(info),
-                                                   std::move(generator));
-  }
 };
 
 /// Resolve `specText` against the global registry and generate the

@@ -13,9 +13,9 @@
 /// "ASAP", the 16 CaWoSched variants ("slack" … "pressWR-LS"), the
 /// two-pass "greenheft" pipeline, the exact branch-and-bound "bnb" and the
 /// single-processor dynamic program "dp" — see DESIGN.md. New algorithms
-/// (plugins, experiments) register additional factories at startup via
-/// `registerFactory` or the `SolverRegistrar` RAII helper and immediately
-/// become selectable in the runner, the CLI and every bench binary.
+/// (plugins, experiments) register additional factories through
+/// `SolverRegistry::global().registerFactory` and immediately become
+/// selectable in the runner, the CLI and every bench binary.
 ///
 /// Lookup supports three forms:
 ///   * exact names                       — "pressWR-LS";
@@ -65,15 +65,6 @@ private:
 
   std::vector<std::string> order_;             // canonical listing order
   std::vector<std::pair<std::string, Factory>> factories_;
-};
-
-/// RAII helper: `static SolverRegistrar reg("mysolver", factory);` in a
-/// translation unit registers the solver before main() runs.
-class SolverRegistrar {
-public:
-  SolverRegistrar(const std::string& name, SolverRegistry::Factory factory) {
-    SolverRegistry::global().registerFactory(name, std::move(factory));
-  }
 };
 
 /// Split "key[param]" → {key, param}; param is empty when absent.

@@ -28,35 +28,13 @@
 /// and platform. The non-virtual `Solver::solve` wraps the per-algorithm
 /// `doSolve` with uniform timing, schedule validation and carbon-cost
 /// evaluation, so every algorithm is benchmarked by exactly the same
-/// yardstick.
+/// yardstick. A request may carry a `ResidualProblem` (core/schedule.hpp)
+/// — the online engine's mid-execution re-solves — and the same yardstick
+/// then judges it with the pinned prefix's effective durations.
 
 namespace cawo {
 
 class SolveContext;
-class WindowState;
-
-/// A residual scheduling problem: part of the instance has already
-/// *executed* (the online replay engine's completed and running tasks) and
-/// only the remaining nodes are movable. Pointed-to objects must outlive
-/// the solve call.
-///
-/// Contract: `starts`/`started` pin every started node at its observed
-/// start time; `durations[u]` is the node's effective duration — the
-/// *actual* runtime for completed nodes, the planned ω(u) estimate for
-/// running and unstarted ones. Movable nodes must be scheduled no earlier
-/// than `releaseTime` (the wall-clock now; every completed node has
-/// finished by then). `windows` optionally hands the solver the engine's
-/// incrementally maintained pinned-prefix EST/LST state so the re-solve
-/// starts from the repaired fixpoint instead of re-pinning from scratch;
-/// when given it must describe exactly the (gc, deadline, started-set)
-/// of this request.
-struct ResidualProblem {
-  const Schedule* starts = nullptr;
-  const std::vector<std::uint8_t>* started = nullptr;
-  const std::vector<Time>* durations = nullptr;
-  Time releaseTime = 0;
-  const WindowState* windows = nullptr;
-};
 
 /// Static metadata and capability flags of a solver.
 struct SolverInfo {
@@ -81,6 +59,10 @@ struct SolverInfo {
 
 /// String-keyed options bag with typed accessors. Unknown keys are simply
 /// ignored by solvers, so one bag can configure a heterogeneous selection.
+/// `setDouble` stores the shortest form that reads back as the same
+/// double; `getInt`/`getDouble` must consume the whole value (`"3x"`, or
+/// `2.5` for an integer option, throws a PreconditionError naming the
+/// option).
 class SolverOptions {
 public:
   SolverOptions() = default;
@@ -124,10 +106,10 @@ struct SolveRequest {
   /// identical results either way.
   const SolveContext* context = nullptr;
 
-  /// Optional residual problem: when set, the solver must keep every
-  /// started node pinned and only place the remaining movable nodes (no
-  /// earlier than `residual->releaseTime`). Solvers whose info() does not
-  /// set `supportsResidual` reject such requests.
+  /// Optional residual problem (core/schedule.hpp): when set, the solver
+  /// must keep every started node pinned and only place the remaining
+  /// movable nodes (no earlier than `residual->releaseTime`). Solvers whose
+  /// info() does not set `supportsResidual` reject such requests.
   const ResidualProblem* residual = nullptr;
 
   SolverOptions options;
@@ -168,7 +150,10 @@ public:
   /// Solve `request` end to end. Throws PreconditionError when mandatory
   /// request fields are missing (or `needsWorkflow` inputs are absent);
   /// an infeasible *output* is reported via `SolveResult::validation`
-  /// rather than thrown, so suite runs can record partial failures.
+  /// rather than thrown, so suite runs can record partial failures. The
+  /// result is validated by `validateSchedule` and costed by
+  /// `evaluateCost` — or, for a residual request, by
+  /// `evaluateCostWithDurations` over the effective durations.
   SolveResult solve(const SolveRequest& request) const;
 
 protected:
@@ -188,17 +173,5 @@ protected:
 };
 
 using SolverPtr = std::unique_ptr<Solver>;
-
-/// Feasibility check for a residual solution: every node has a start,
-/// started nodes kept their pinned starts, and every movable node starts at
-/// or after the release time, finishes (with its planned length) by the
-/// deadline, and respects precedence — against the *effective* completion
-/// times of started predecessors (`residual.durations`) and the planned
-/// lengths of movable ones. The planned-length occupancy of Gc's
-/// per-processor chain edges makes this subsume exclusivity, exactly as in
-/// `validateSchedule`.
-ValidationResult validateResidualSchedule(const EnhancedGraph& gc,
-                                          const Schedule& s, Time deadline,
-                                          const ResidualProblem& residual);
 
 } // namespace cawo

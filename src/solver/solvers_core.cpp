@@ -13,11 +13,12 @@
 /// ASAP baseline and the 16 CaWoSched heuristics.
 ///
 /// Both adapters consume `SolveRequest::context` when the caller provides
-/// one (the suite and campaign runners do), so the initial windows, score
-/// orders and refined interval sets are computed once per instance; a
-/// private context is built otherwise. CaWoSched runs additionally report
-/// the greedy/local-search phase split (and the local-search statistics)
-/// through the solver stats map:
+/// one (the campaign runner, serve and the online engine do), so the
+/// initial windows, score orders and refined interval sets are computed
+/// once per instance; a private context is built otherwise. A residual
+/// request runs the same greedy with the request's `ResidualProblem`.
+/// CaWoSched runs additionally report the greedy/local-search phase split
+/// (and the local-search statistics) through the solver stats map:
 ///   greedy-us        greedy-phase wall time, microseconds
 ///   ls-us            local-search wall time, microseconds (LS variants)
 ///   ls-rounds        local-search rounds (including the final gainless one)
@@ -29,7 +30,7 @@
 /// CaWoSched options (all optional):
 ///   block-size   int   refinement block size k (paper: 3; 1..INT_MAX)
 ///   ls-radius    int   local-search radius µ   (paper: 10; ≥ 0)
-///   threads      int   intra-solve worker threads (0 = hardware, ≥ 0;
+///   threads      int   local-search restart threads (0 = hardware, ≥ 0;
 ///                      never changes the schedule — see DESIGN.md,
 ///                      "Parallel solve core")
 ///   ls-restarts  int   local-search best-of-N restarts (≥ 1; 1 = the
@@ -113,32 +114,17 @@ protected:
     const CaWoParams params = paramsFromOptions(request.options);
     std::optional<SolveContext> local;
     const SolveContext* ctx = request.context;
-    if (ctx == nullptr) {
-      local.emplace(*request.gc, *request.profile, request.deadline);
-      // A private context may parallelise its own lazy computations; a
-      // shared one keeps whatever its owner configured.
-      local->setThreads(params.threads);
-      ctx = &*local;
-    }
+    if (ctx == nullptr)
+      ctx = &local.emplace(*request.gc, *request.profile, request.deadline);
 
     if (request.residual != nullptr) {
-      // Mid-execution re-solve: pinned-prefix greedy over the movable
-      // remainder. The -LS pass is skipped — its moves are not
-      // pin-aware, and re-solves must stay cheap enough to run at every
-      // event (see DESIGN.md, "Online execution engine").
-      GreedyOptions gopts;
-      gopts.base = spec_.base;
-      gopts.weighted = spec_.weighted;
-      gopts.refined = spec_.refined;
-      gopts.blockSize = params.blockSize;
-      GreedyResidual residual;
-      residual.starts = request.residual->starts;
-      residual.started = request.residual->started;
-      residual.durations = request.residual->durations;
-      residual.releaseTime = request.residual->releaseTime;
-      residual.windows = request.residual->windows;
+      // Mid-execution re-solve: the greedy over the movable remainder. The
+      // -LS pass is skipped — its moves are not pin-aware, and re-solves
+      // must stay cheap enough to run at every event (see DESIGN.md,
+      // "Online execution engine").
       RawResult raw;
-      raw.schedule = scheduleGreedyResidual(*ctx, gopts, residual);
+      raw.schedule = scheduleGreedy(
+          *ctx, spec_.greedyOptions(params.blockSize), request.residual);
       return raw;
     }
 

@@ -4,14 +4,16 @@
 // registered solver's offline cost bit for bit), deadline safety of the
 // re-solving policies, the incremental pinned-prefix windows against the
 // full-recompute oracle after every event, the duration-aware carbon-cost
-// evaluators, residual solving through the Solver API, and the campaign
-// online mode end to end.
+// evaluators, residual solving through the Solver API (the offline problem
+// is the residual one with nothing started), and the campaign online mode
+// end to end.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/carbon_cost.hpp"
+#include "core/cawosched.hpp"
 #include "core/est_lst.hpp"
 #include "core/greedy.hpp"
 #include "core/solve_context.hpp"
@@ -343,10 +345,30 @@ TEST(ResidualSolve, NonResidualSolversRejectResidualRequests) {
                   .supportsResidual);
 }
 
+/// The offline problem as a residual one: nothing started, release time
+/// 0, planned durations. The vectors live in the struct so the pointers
+/// stay valid.
+struct EmptyResidual {
+  explicit EmptyResidual(const EnhancedGraph& gc)
+      : starts(gc.numNodes()),
+        started(static_cast<std::size_t>(gc.numNodes()), 0) {
+    for (TaskId v = 0; v < gc.numNodes(); ++v) durations.push_back(gc.len(v));
+    problem.starts = &starts;
+    problem.started = &started;
+    problem.durations = &durations;
+  }
+  EmptyResidual(const EmptyResidual&) = delete;
+
+  Schedule starts;
+  std::vector<std::uint8_t> started;
+  std::vector<Time> durations;
+  ResidualProblem problem;
+};
+
 TEST(ResidualSolve, EmptyPrefixResidualMatchesPlainGreedy) {
   // A residual problem with nothing pinned and release time 0 is exactly
-  // the offline problem; the residual greedy must produce the plain
-  // greedy's schedule (the -LS pass is skipped on residuals, so compare
+  // the offline problem; the greedy must produce the same schedule with
+  // and without it (the -LS pass is skipped on residuals, so compare
   // against the greedy-only variant).
   const Instance inst = buildInstance(smokeSpec("S3"));
   const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
@@ -354,20 +376,9 @@ TEST(ResidualSolve, EmptyPrefixResidualMatchesPlainGreedy) {
   gopts.base = BaseScore::Pressure;
   gopts.weighted = true;
   gopts.refined = true;
-  const Schedule plain = scheduleGreedy(ctx, gopts);
-
-  Schedule starts(inst.gc.numNodes());
-  std::vector<std::uint8_t> started(
-      static_cast<std::size_t>(inst.gc.numNodes()), 0);
-  std::vector<Time> durations(static_cast<std::size_t>(inst.gc.numNodes()));
-  for (TaskId v = 0; v < inst.gc.numNodes(); ++v)
-    durations[static_cast<std::size_t>(v)] = inst.gc.len(v);
-  GreedyResidual residual;
-  residual.starts = &starts;
-  residual.started = &started;
-  residual.durations = &durations;
-  const Schedule viaResidual = scheduleGreedyResidual(ctx, gopts, residual);
-  EXPECT_EQ(viaResidual.starts(), plain.starts());
+  const EmptyResidual empty(inst.gc);
+  EXPECT_EQ(scheduleGreedy(ctx, gopts, &empty.problem).starts(),
+            scheduleGreedy(ctx, gopts).starts());
 }
 
 TEST(ResidualSolve, ValidatorCatchesMovedPinsAndEarlyStarts) {
@@ -386,19 +397,124 @@ TEST(ResidualSolve, ValidatorCatchesMovedPinsAndEarlyStarts) {
   ok.setStart(0, 0);
   ok.setStart(1, 5);
   ok.setStart(2, 8);
-  EXPECT_TRUE(validateResidualSchedule(gc, ok, 20, residual).ok);
+  EXPECT_TRUE(validateSchedule(gc, ok, 20, &residual).ok);
 
   Schedule movedPin = ok;
   movedPin.setStart(0, 1);
-  EXPECT_FALSE(validateResidualSchedule(gc, movedPin, 20, residual).ok);
+  EXPECT_FALSE(validateSchedule(gc, movedPin, 20, &residual).ok);
 
   Schedule beforeRelease = ok;
   beforeRelease.setStart(1, 4); // also before task 0's effective end
-  EXPECT_FALSE(validateResidualSchedule(gc, beforeRelease, 20, residual).ok);
+  EXPECT_FALSE(validateSchedule(gc, beforeRelease, 20, &residual).ok);
 
   Schedule lateFinish = ok;
   lateFinish.setStart(2, 18); // 18 + 3 > 20
-  EXPECT_FALSE(validateResidualSchedule(gc, lateFinish, 20, residual).ok);
+  EXPECT_FALSE(validateSchedule(gc, lateFinish, 20, &residual).ok);
+}
+
+TEST(ResidualSolve, ValidatorRejectsWrongSizeSchedule) {
+  const EnhancedGraph gc = testing::makeChainGc({3, 3, 3});
+  Schedule starts(gc.numNodes());
+  starts.setStart(0, 0);
+  std::vector<std::uint8_t> started{1, 0, 0};
+  std::vector<Time> durations{3, 3, 3};
+  ResidualProblem residual;
+  residual.starts = &starts;
+  residual.started = &started;
+  residual.durations = &durations;
+
+  // Every node of the graph is placed feasibly, but the schedule carries
+  // one extra node.
+  Schedule tooLong(gc.numNodes() + 1);
+  for (TaskId v = 0; v <= gc.numNodes(); ++v) tooLong.setStart(v, 3 * v);
+  const ValidationResult r = validateSchedule(gc, tooLong, 20, &residual);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.message, "schedule size does not match graph");
+  EXPECT_FALSE(validateSchedule(gc, Schedule(2), 20, &residual).ok);
+}
+
+TEST(ResidualSolve, ValidatorAcceptsSuccessorOfShortRunningPredecessor) {
+  // One processor: task 0 was planned for 5 but finished after 2, so its
+  // chain successor may start at 2 — on the freed processor.
+  const EnhancedGraph gc = testing::makeChainGc({5, 3});
+  Schedule starts(gc.numNodes());
+  starts.setStart(0, 0);
+  std::vector<std::uint8_t> started{1, 0};
+  std::vector<Time> durations{2, 3};
+  ResidualProblem residual;
+  residual.starts = &starts;
+  residual.started = &started;
+  residual.durations = &durations;
+  residual.releaseTime = 2;
+
+  Schedule s(gc.numNodes());
+  s.setStart(0, 0);
+  s.setStart(1, 2);
+  const ValidationResult r = validateSchedule(gc, s, 10, &residual);
+  EXPECT_TRUE(r.ok) << r.message;
+  // Offline, task 0 occupies its processor for the planned 5.
+  EXPECT_FALSE(validateSchedule(gc, s, 10).ok);
+
+  s.setStart(1, 1); // before task 0 actually finished
+  residual.releaseTime = 1;
+  EXPECT_FALSE(validateSchedule(gc, s, 10, &residual).ok);
+}
+
+TEST(ResidualSolve, EmptyResidualGreedyMatchesOfflineOnRandomDags) {
+  Rng rng(2718);
+  for (int round = 0; round < 25; ++round) {
+    const int n = static_cast<int>(rng.uniformInt(3, 40));
+    const EnhancedGraph gc = testing::randomDag(
+        n, static_cast<int>(rng.uniformInt(1, 4)), 0.2, rng);
+    const Time deadline = gc.criticalPathLength() + rng.uniformInt(0, 40);
+    const PowerProfile profile = testing::randomProfile(
+        deadline, static_cast<int>(rng.uniformInt(2, 8)), 0, 25, rng);
+    const SolveContext ctx(gc, profile, deadline);
+    const EmptyResidual empty(gc);
+    for (const VariantSpec& variant : allVariants()) {
+      if (variant.localSearch) continue; // the 8 greedy variants
+      const GreedyOptions opts = variant.greedyOptions(3);
+      EXPECT_EQ(scheduleGreedy(ctx, opts, &empty.problem).starts(),
+                scheduleGreedy(ctx, opts).starts())
+          << variant.name() << ", round " << round;
+    }
+  }
+}
+
+TEST(ResidualSolve, EmptyResidualValidatorMatchesOffline) {
+  Rng rng(31415);
+  int feasible = 0, infeasible = 0;
+  for (int round = 0; round < 40; ++round) {
+    const int n = static_cast<int>(rng.uniformInt(2, 30));
+    const EnhancedGraph gc = testing::randomDag(
+        n, static_cast<int>(rng.uniformInt(1, 4)), 0.25, rng);
+    const Time deadline = gc.criticalPathLength() + rng.uniformInt(0, 20);
+    const EmptyResidual empty(gc);
+    const Schedule base = testing::randomSchedule(gc, deadline, rng);
+    for (int k = 0; k < 8; ++k) {
+      Schedule s = base;
+      // k = 0 keeps the feasible schedule; later rounds shift a few
+      // starts (possibly past the deadline or into a neighbour) and now
+      // and then unset one.
+      for (int m = 0; m < k % 4; ++m) {
+        const TaskId v = static_cast<TaskId>(rng.uniformInt(0, n - 1));
+        s.setStart(v, std::max<Time>(0, s.start(v) + rng.uniformInt(-6, 6)));
+      }
+      if (k == 7) s.setStart(static_cast<TaskId>(rng.uniformInt(0, n - 1)), -1);
+      const ValidationResult offline = validateSchedule(gc, s, deadline);
+      const ValidationResult residual =
+          validateSchedule(gc, s, deadline, &empty.problem);
+      EXPECT_EQ(residual.ok, offline.ok) << "round " << round << ", k " << k;
+      EXPECT_EQ(residual.message, offline.message)
+          << "round " << round << ", k " << k;
+      if (offline.ok)
+        ++feasible;
+      else
+        ++infeasible;
+    }
+  }
+  EXPECT_GT(feasible, 40);
+  EXPECT_GT(infeasible, 40);
 }
 
 // ---------------------------------------------------------------------------

@@ -294,6 +294,17 @@ TEST(ServeServer, MalformedInputYieldsErrorResponsesNotCrashes) {
   EXPECT_EQ(
       errorOf("{\"kind\":\"replay\",\"policy\":\"no-such-policy\"}"),
       "bad_request");
+  // Solver options parse strictly, and the message names the option.
+  const JsonValue badOption = submitParsed(
+      server, "{\"kind\":\"solve\",\"options\":{\"block-size\":\"3x\"}}");
+  EXPECT_EQ(badOption.at("error").asString(), "bad_request");
+  EXPECT_NE(badOption.at("message").asString().find(
+                "solver option \"block-size\": \"3x\" is not an integer"),
+            std::string::npos)
+      << badOption.at("message").asString();
+  EXPECT_EQ(
+      errorOf("{\"kind\":\"solve\",\"options\":{\"ls-radius\":2.5}}"),
+      "bad_request");
 
   // The server still works after all that.
   expectEnvelope(submitParsed(server, kSolveLine), "s1", "solve", true);

@@ -218,6 +218,44 @@ TEST(SolverApi, OptionsBagTypedAccessors) {
   EXPECT_THROW((void)options.getDouble("name", 0.0), PreconditionError);
 }
 
+TEST(SolverApi, OptionsBagDoublesRoundTripExactly) {
+  SolverOptions options;
+  for (const double value : {0.123456789, 1e-300, 0.1, 120.0, -2.5e17}) {
+    options.setDouble("x", value);
+    EXPECT_EQ(options.getDouble("x", 0.0), value)
+        << "stored as " << options.getString("x", "");
+  }
+  options.setDouble("alpha", 0.123456789);
+  EXPECT_EQ(options.getString("alpha", ""), "0.123456789");
+  options.setDouble("tiny", 1e-300);
+  EXPECT_EQ(options.getString("tiny", ""), "1e-300");
+}
+
+TEST(SolverApi, OptionsBagRejectsPartialNumbers) {
+  SolverOptions options;
+  options.set("block-size", "3x").set("ls-radius", "2.5").set("alpha", "0.5y");
+  const auto messageOf = [&](auto&& read) {
+    try {
+      read();
+    } catch (const PreconditionError& e) {
+      return std::string(e.what());
+    }
+    return std::string("(accepted)");
+  };
+  EXPECT_NE(messageOf([&] { (void)options.getInt("block-size", 3); })
+                .find("solver option \"block-size\": \"3x\" is not an integer"),
+            std::string::npos);
+  EXPECT_NE(messageOf([&] { (void)options.getInt("ls-radius", 10); })
+                .find("solver option \"ls-radius\": \"2.5\" is not an integer"),
+            std::string::npos);
+  EXPECT_NE(messageOf([&] { (void)options.getDouble("alpha", 0.0); })
+                .find("solver option \"alpha\": \"0.5y\" is not a number"),
+            std::string::npos);
+  // Whole numbers still read as doubles, and absent keys fall back.
+  EXPECT_EQ(options.setInt("k", 4).getDouble("k", 0.0), 4.0);
+  EXPECT_EQ(options.getInt("missing", 7), 7);
+}
+
 // Golden parity: the registry-driven runner must reproduce the legacy
 // string-dispatch costs bit-for-bit on a fixed-seed instance.
 TEST(SolverApi, RegistryRunnerMatchesLegacyDispatch) {

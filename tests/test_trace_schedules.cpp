@@ -27,26 +27,7 @@ namespace {
 
 using obs::TraceRecorder;
 using obs::TraceState;
-
-/// Same random-DAG construction as the parallel-determinism suite.
-EnhancedGraph randomDag(int n, int numProcs, double density, Rng& rng) {
-  std::vector<std::pair<ProcId, Time>> tasks;
-  tasks.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    tasks.push_back({static_cast<ProcId>(rng.uniformInt(0, numProcs - 1)),
-                     rng.uniformInt(1, 9)});
-  std::vector<std::pair<TaskId, TaskId>> edges;
-  for (int i = 0; i < n; ++i)
-    for (int j = i + 1; j < n; ++j)
-      if (rng.uniformReal(0.0, 1.0) < density)
-        edges.push_back({static_cast<TaskId>(i), static_cast<TaskId>(j)});
-  std::vector<Power> idle, work;
-  for (int p = 0; p < numProcs; ++p) {
-    idle.push_back(rng.uniformInt(1, 3));
-    work.push_back(rng.uniformInt(1, 6));
-  }
-  return testing::makeGc(tasks, edges, idle, work);
-}
+using testing::randomDag;
 
 struct Fixture {
   EnhancedGraph gc;

@@ -91,6 +91,30 @@ inline EnhancedGraph makeGc(
                                   std::move(orders));
 }
 
+/// A random DAG on `n` nodes spread over `numProcs` processors: every
+/// candidate edge (i, j), i < j, is kept with probability ~`density`.
+/// Per-processor orders follow node-index order, so chain edges always
+/// point forward and the graph stays acyclic.
+inline EnhancedGraph randomDag(int n, int numProcs, double density,
+                               Rng& rng) {
+  std::vector<std::pair<ProcId, Time>> tasks;
+  tasks.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i)
+    tasks.push_back({static_cast<ProcId>(rng.uniformInt(0, numProcs - 1)),
+                     rng.uniformInt(1, 9)});
+  std::vector<std::pair<TaskId, TaskId>> edges;
+  for (int i = 0; i < n; ++i)
+    for (int j = i + 1; j < n; ++j)
+      if (rng.uniformReal(0.0, 1.0) < density)
+        edges.push_back({static_cast<TaskId>(i), static_cast<TaskId>(j)});
+  std::vector<Power> idle, work;
+  for (int p = 0; p < numProcs; ++p) {
+    idle.push_back(rng.uniformInt(1, 3));
+    work.push_back(rng.uniformInt(1, 6));
+  }
+  return makeGc(tasks, edges, idle, work);
+}
+
 /// A random feasible schedule for `gc` under `deadline`: walks the
 /// topological order, choosing each start uniformly in the dynamic window.
 inline Schedule randomSchedule(const EnhancedGraph& gc, Time deadline,

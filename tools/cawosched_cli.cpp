@@ -163,9 +163,8 @@ int runSchedule(const CliArgs& args) {
   // Run the selection, optionally across threads (0 = hardware). Solvers
   // are independent and deterministic, so the parallelism only affects
   // wall time, never results. A multi-solver selection fans out across
-  // solvers; a single solver gets the budget as intra-solve threads
-  // instead (local-search restart fan-out and wide candidate scans —
-  // equally deterministic).
+  // solvers; a single solver gets the budget for its local-search
+  // restart fan-out instead (equally deterministic).
   std::vector<CliRun> runs(names.size());
   const unsigned threads = threadsFromArgs(args, "threads", 1);
   if (names.size() == 1) request.options.setInt("threads", threads);
