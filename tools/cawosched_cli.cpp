@@ -707,16 +707,31 @@ acquire, solve, respond) on exit; --trace-summary prints the rollup
 (docs/observability.md).
 )";
 
+/// A size or time flag of serve: `fallback` when absent, a UsageError when
+/// negative (the unsigned plumbing would wrap it into a huge value).
+std::int64_t nonNegativeFlag(const CliArgs& args, const std::string& name,
+                             std::int64_t fallback) {
+  const std::int64_t value = args.getInt(name, fallback);
+  if (value < 0)
+    throw UsageError("flag --" + name + " must be >= 0, got " +
+                     std::to_string(value));
+  return value;
+}
+
 int runServeCommand(const CliArgs& args) {
   ServeOptions options;
-  options.workers = static_cast<unsigned>(args.getInt("workers", 0));
+  options.workers = threadsFromArgs(args, "workers", 0);
   options.queueCapacity =
-      static_cast<std::size_t>(args.getInt("queue-capacity", 64));
+      static_cast<std::size_t>(nonNegativeFlag(args, "queue-capacity", 64));
   options.cacheCapacity =
-      static_cast<std::size_t>(args.getInt("cache-capacity", 16));
-  options.defaultTimeoutMs = args.getInt("default-timeout-ms", 0);
-  options.maxRequestBytes =
-      static_cast<std::size_t>(args.getInt("max-request-bytes", 1 << 20));
+      static_cast<std::size_t>(nonNegativeFlag(args, "cache-capacity", 16));
+  options.defaultTimeoutMs = nonNegativeFlag(args, "default-timeout-ms", 0);
+  options.maxRequestBytes = static_cast<std::size_t>(
+      nonNegativeFlag(args, "max-request-bytes", 1 << 20));
+  const std::int64_t port = args.getInt("port", 0);
+  if (port < 0 || port > 65535)
+    throw UsageError("flag --port must be in [0, 65535], got " +
+                     std::to_string(port));
   options.solverDefaults = tuningOptions(args);
   if (args.has("threads"))
     options.solverDefaults.setInt("threads",
@@ -726,7 +741,7 @@ int runServeCommand(const CliArgs& args) {
   std::unique_ptr<TcpServeListener> listener;
   if (args.has("port"))
     listener = std::make_unique<TcpServeListener>(
-        server, static_cast<std::uint16_t>(args.getInt("port", 0)));
+        server, static_cast<std::uint16_t>(port));
 
   // Everything human goes to stderr — stdout is protocol bytes only.
   if (!args.has("quiet")) {
