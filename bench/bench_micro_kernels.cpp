@@ -140,18 +140,9 @@ BENCHMARK(BM_TraceOverhead)
     ->ArgsProduct({{5000}, {0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
 
-// -----------------------------------------------------------------------
-// Parallel solve core (see DESIGN.md, "Parallel solve core"). The kernel
-// produces bit-identical schedules at every thread count — the benchmark
-// measures only how fast the same bytes arrive. Threads sweep
-// {1, 4, hardware}; on single-core boxes the three rows coincide, which
-// is itself the interesting datum (no overhead when there is nothing to
-// win).
-// -----------------------------------------------------------------------
-
-// Best-of-8 multi-start local search; restart 0 is the unperturbed climb,
-// restarts 1..7 run on independent RNG streams, the merge is by (cost,
-// restart index).
+// Best-of-8 multi-start local search, serial: restart 0 is the unperturbed
+// climb, restarts 1..7 climb from perturbations drawn from independent RNG
+// streams, and the lowest final cost wins (ties to the lowest restart).
 void BM_LocalSearchRestarts(benchmark::State& state) {
   const Instance inst = makeInstance(static_cast<int>(state.range(0)));
   GreedyOptions gopts{BaseScore::Pressure, true, true, 3};
@@ -159,15 +150,13 @@ void BM_LocalSearchRestarts(benchmark::State& state) {
       scheduleGreedy(inst.gc, inst.profile, inst.deadline, gopts);
   LocalSearchOptions opts;
   opts.restarts = 8;
-  opts.threads = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
     Schedule s = base;
-    localSearchRestarts(inst.gc, inst.profile, inst.deadline, s, opts);
+    localSearch(inst.gc, inst.profile, inst.deadline, s, opts);
     benchmark::DoNotOptimize(s);
   }
 }
-BENCHMARK(BM_LocalSearchRestarts)
-    ->ArgsProduct({{200, 1000, 5000}, {1, 4, 0 /* 0 = hardware */}})
+BENCHMARK(BM_LocalSearchRestarts)->Arg(200)->Arg(1000)->Arg(5000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Heft(benchmark::State& state) {

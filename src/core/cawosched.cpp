@@ -53,14 +53,10 @@ Schedule runVariant(const SolveContext& ctx, const VariantSpec& spec,
   if (stats) stats->greedyMs = timer.elapsedMs();
 
   if (spec.localSearch) {
-    LocalSearchOptions lopts;
-    lopts.radius = params.lsRadius;
-    lopts.threads = params.threads;
-    lopts.restarts = params.lsRestarts;
-    lopts.seed = params.lsSeed;
     timer.reset();
     const LocalSearchStats ls =
-        localSearchRestarts(ctx.gc(), ctx.profile(), ctx.deadline(), s, lopts);
+        localSearch(ctx.gc(), ctx.profile(), ctx.deadline(), s,
+                    {params.lsRadius, params.lsRestarts, params.lsSeed});
     if (stats) {
       stats->lsMs = timer.elapsedMs();
       stats->lsRan = true;

@@ -51,11 +51,6 @@ struct CaWoParams {
   int blockSize = 3;
   Time lsRadius = 10;
 
-  /// Intra-solve worker threads (0 = hardware) for the local-search
-  /// restart fan-out. Schedules are bit-identical for every value — the
-  /// restart merge reduces in deterministic order.
-  unsigned threads = 1;
-
   /// Local-search restarts (best-of-N; restart 0 is the unperturbed
   /// climb, so 1 = the paper's plain -LS pass).
   std::size_t lsRestarts = 1;

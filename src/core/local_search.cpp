@@ -8,7 +8,6 @@
 
 #include "core/power_timeline.hpp"
 #include "obs/trace.hpp"
-#include "util/parallel.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -49,16 +48,13 @@ void perturbSchedule(const EnhancedGraph& gc, Time deadline, Schedule& s,
   }
 }
 
-} // namespace
-
-LocalSearchStats localSearch(const EnhancedGraph& gc,
-                             const PowerProfile& profile, Time deadline,
-                             Schedule& schedule,
-                             const LocalSearchOptions& opts) {
+/// One first-improvement climb of `schedule` in place; `restart` only
+/// labels its span.
+LocalSearchStats climb(const EnhancedGraph& gc, const PowerProfile& profile,
+                       Time deadline, Schedule& schedule, Time radius,
+                       std::size_t restart) {
   obs::TraceScope span("ls.climb");
-  CAWO_REQUIRE(opts.radius >= 0, "negative search radius");
-  CAWO_REQUIRE(profile.horizon() >= deadline,
-               "power profile must cover the deadline");
+  span.arg("restart", static_cast<std::int64_t>(restart));
   const ValidationResult valid = validateSchedule(gc, schedule, deadline);
   CAWO_REQUIRE(valid.ok, "local search needs a feasible schedule: " +
                              valid.message);
@@ -114,17 +110,17 @@ LocalSearchStats localSearch(const EnhancedGraph& gc,
       const auto first =
           std::partition_point(order.begin(), order.end(), [&](TaskId u) {
             const auto i = static_cast<std::size_t>(u);
-            return starts[i] + lens[i] + opts.radius <= a;
+            return starts[i] + lens[i] + radius <= a;
           });
       const auto last = std::partition_point(first, order.end(), [&](TaskId u) {
-        return starts[static_cast<std::size_t>(u)] - opts.radius < b;
+        return starts[static_cast<std::size_t>(u)] - radius < b;
       });
       for (auto it = first; it != last; ++it)
         dirty[static_cast<std::size_t>(*it)] = 1;
     }
   };
 
-  while (stats.rounds < opts.maxRounds) {
+  for (;;) {
     ++stats.rounds; // counts executed passes, including the final gainless one
     // One span per improvement pass; the batched-probe volume rides along
     // as an arg so the probe cost is visible without per-probe events.
@@ -141,19 +137,14 @@ LocalSearchStats localSearch(const EnhancedGraph& gc,
         const Power w = gc.workPower(p);
         const Time cur = schedule.start(v);
         const auto [lo, hi] =
-            moveWindow(gc, deadline, schedule, v, len, opts.radius);
+            moveWindow(gc, deadline, schedule, v, len, radius);
 
-        Time bestTarget = cur;
-        Cost bestDelta = 0;
+        Time target = cur; // stays put unless a move improves
         if (hi >= lo) {
           // Batched probe: one prefix table over the candidate window
           // serves every target in O(1), so the scan is O(segments in
-          // window + candidates) regardless of radius — the former
-          // per-candidate segment walks (and the parallel wide-scan
-          // fan-out that amortised them) are gone. Selection over the
-          // delta array replays the serial order exactly: earliest
-          // minimum for BestImprovement, earliest improving delta for
-          // FirstImprovement.
+          // window + candidates) regardless of radius. The first
+          // improving delta, earliest candidate first, wins.
           cands.clear();
           for (Time t = lo; t <= hi; ++t) cands.push_back({t, t + len});
           deltas.resize(cands.size());
@@ -161,18 +152,16 @@ LocalSearchStats localSearch(const EnhancedGraph& gc,
           timeline.peekMoveDeltas(cur, cur + len, w, cands, peek, deltas);
           for (std::size_t i = 0; i < cands.size(); ++i) {
             const Time t = lo + static_cast<Time>(i);
-            if (t == cur) continue;
-            if (deltas[i] < bestDelta) {
-              bestDelta = deltas[i];
-              bestTarget = t;
-              if (opts.strategy == MoveStrategy::FirstImprovement) break;
+            if (t != cur && deltas[i] < 0) {
+              target = t;
+              break;
             }
           }
         }
-        if (bestDelta < 0) {
-          timeline.applyMove(cur, cur + len, bestTarget, bestTarget + len, w);
-          schedule.setStart(v, bestTarget);
-          markMoved(v, cur, bestTarget);
+        if (target != cur) {
+          timeline.applyMove(cur, cur + len, target, target + len, w);
+          schedule.setStart(v, target);
+          markMoved(v, cur, target);
           ++stats.movesApplied;
           improved = true;
         }
@@ -188,60 +177,47 @@ LocalSearchStats localSearch(const EnhancedGraph& gc,
   return stats;
 }
 
-LocalSearchStats localSearchRestarts(const EnhancedGraph& gc,
-                                     const PowerProfile& profile,
-                                     Time deadline, Schedule& schedule,
-                                     const LocalSearchOptions& opts) {
+} // namespace
+
+LocalSearchStats localSearch(const EnhancedGraph& gc,
+                             const PowerProfile& profile, Time deadline,
+                             Schedule& schedule,
+                             const LocalSearchOptions& opts) {
   obs::TraceScope span("ls");
+  CAWO_REQUIRE(opts.radius >= 0, "negative search radius");
+  CAWO_REQUIRE(profile.horizon() >= deadline,
+               "power profile must cover the deadline");
   const std::size_t restarts = std::max<std::size_t>(1, opts.restarts);
-  if (restarts == 1) {
-    LocalSearchStats stats = localSearch(gc, profile, deadline, schedule, opts);
-    stats.restartsRun = 1;
-    stats.bestRestart = 0;
-    return stats;
-  }
+  if (restarts == 1)
+    return climb(gc, profile, deadline, schedule, opts.radius, 0);
 
-  struct Attempt {
-    Schedule schedule;
-    LocalSearchStats stats;
-  };
-  std::vector<Attempt> attempts(restarts);
-  // Each restart is fully independent — own schedule copy, own timeline,
-  // own RNG stream (restart r seeds SplitMix64 at `seed + r·golden`) — so
-  // the fan-out needs no synchronisation beyond the disjoint slots.
-  parallelFor(restarts, opts.threads, [&](std::size_t r) {
-    obs::TraceScope restart("ls.restart");
-    restart.arg("restart", static_cast<std::int64_t>(r));
-    Schedule mine = schedule;
-    if (r > 0) {
-      Rng rng(opts.seed +
-              0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(r));
-      // Diversify beyond the climb radius so restarts escape the basin
-      // the unperturbed climb would fall into.
-      perturbSchedule(gc, deadline, mine, opts.radius * 4, rng);
+  // Every restart perturbs the input, so keep it; `schedule` holds the
+  // best climb so far. Strictly lower final cost wins, so ties go to the
+  // lowest restart index.
+  const Schedule input = schedule;
+  LocalSearchStats best =
+      climb(gc, profile, deadline, schedule, opts.radius, 0);
+  const Cost inputCost = best.initialCost;
+  Schedule candidate;
+  for (std::size_t r = 1; r < restarts; ++r) {
+    candidate = input;
+    // Restart r seeds SplitMix64 at `seed + r·golden`, and diversifies
+    // beyond the climb radius to escape the basin of the unperturbed
+    // climb.
+    Rng rng(opts.seed +
+            0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(r));
+    perturbSchedule(gc, deadline, candidate, opts.radius * 4, rng);
+    const LocalSearchStats stats =
+        climb(gc, profile, deadline, candidate, opts.radius, r);
+    if (stats.finalCost < best.finalCost) {
+      best = stats;
+      best.bestRestart = r;
+      std::swap(schedule, candidate);
     }
-    LocalSearchOptions inner = opts;
-    inner.restarts = 1;
-    inner.threads = 1; // the fan-out already owns the workers
-    attempts[r].stats = localSearch(gc, profile, deadline, mine, inner);
-    attempts[r].schedule = std::move(mine);
-  });
-
-  // Deterministic best-of-N merge: strictly lower final cost wins, ties
-  // go to the lowest restart index — never to arrival order.
-  std::size_t best = 0;
-  for (std::size_t r = 1; r < restarts; ++r)
-    if (attempts[r].stats.finalCost < attempts[best].stats.finalCost)
-      best = r;
-
-  LocalSearchStats stats = attempts[best].stats;
-  stats.initialCost = attempts[0].stats.initialCost; // the true input cost
-  stats.restartsRun = restarts;
-  stats.bestRestart = best;
-  schedule = std::move(attempts[best].schedule);
-  CAWO_ASSERT(stats.finalCost <= stats.initialCost,
-              "restart merge must never worsen the schedule");
-  return stats;
+  }
+  best.initialCost = inputCost;
+  best.restartsRun = restarts;
+  return best;
 }
 
 } // namespace cawo

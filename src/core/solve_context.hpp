@@ -26,13 +26,12 @@
 /// instance, so sharing cannot change any result — the golden-parity tests
 /// pin that.
 ///
-/// Concurrency contract (see DESIGN.md, "Parallel solve core"): the lazy
-/// caches are unsynchronized, so one thread at a time fills or reads a
-/// context — the campaign runner solves an instance's cells one after
+/// Concurrency contract (see DESIGN.md, "Where parallelism lives"): the
+/// lazy caches are unsynchronized, so one thread at a time fills or reads
+/// a context — the campaign runner solves an instance's cells one after
 /// another on one context, the CLI gives each solver its own, and the
-/// serve daemon solves under the cache entry's mutex. Every lazy artifact
-/// is computed serially; the one intra-solve fan-out, local-search
-/// restarts, works on its own state and never touches the context.
+/// serve daemon solves under the cache entry's mutex. A solve is serial:
+/// it runs entirely on the thread that holds the context.
 
 namespace cawo {
 

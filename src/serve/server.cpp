@@ -297,10 +297,8 @@ void ServeServer::runSolveJob(const ServeRequest& request,
   SolveResult result;
   {
     // The cached SolveContext is not thread-safe — one solve at a time
-    // per entry; different entries solve concurrently. Intra-solve
-    // parallelism (the `threads` solver option) is safe under this lock:
-    // the parallel kernels never touch the context's lazy caches (see
-    // SolveContext's concurrency contract).
+    // per entry, on this worker's thread; different entries solve
+    // concurrently (see SolveContext's concurrency contract).
     const std::scoped_lock entryLock(entry->mutex);
     SolveRequest solveRequest;
     solveRequest.gc = &entry->instance.gc;

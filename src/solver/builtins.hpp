@@ -27,9 +27,9 @@ void registerCoreSolvers(SolverRegistry& registry);
 void fillPhaseStats(const VariantRunStats& run,
                     std::map<std::string, std::int64_t>& stats);
 
-/// The `block-size` (1..INT_MAX) and `ls-radius` (>= 0) options shared by
-/// the CaWoSched adapters and the GreenHEFT second pass, validated when the
-/// options are read; every other field keeps its default.
+/// The `block-size` (1..INT_MAX), `ls-radius` (>= 0), `ls-restarts`
+/// (>= 1) and `ls-seed` options shared by the CaWoSched adapters and the
+/// GreenHEFT second pass, validated when the options are read.
 CaWoParams tuningFromOptions(const SolverOptions& options);
 
 /// The two-pass "greenheft" pipeline (src/heft), alpha-parameterisable as

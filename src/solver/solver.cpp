@@ -112,16 +112,21 @@ SolveResult Solver::solve(const SolveRequest& request) const {
   // prefix ran with its *effective* durations, so a task that ran short
   // legitimately frees its processor early. The projected cost uses the
   // same effective durations.
-  result.validation = validateSchedule(gc, result.schedule,
-                                       result.effectiveDeadline,
-                                       request.residual);
+  {
+    obs::TraceScope span("solve.validate");
+    result.validation = validateSchedule(gc, result.schedule,
+                                         result.effectiveDeadline,
+                                         request.residual);
+  }
   result.feasible = result.validation.ok;
-  if (result.feasible)
+  if (result.feasible) {
+    obs::TraceScope span("solve.cost");
     result.cost = request.residual != nullptr
                       ? evaluateCostWithDurations(
                             gc, profile, result.schedule,
                             *request.residual->durations)
                       : evaluateCost(gc, profile, result.schedule);
+  }
   return result;
 }
 

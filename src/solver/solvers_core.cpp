@@ -30,12 +30,10 @@
 /// CaWoSched options (all optional):
 ///   block-size   int   refinement block size k (paper: 3; 1..INT_MAX)
 ///   ls-radius    int   local-search radius µ   (paper: 10; ≥ 0)
-///   threads      int   local-search restart threads (0 = hardware, ≥ 0;
-///                      never changes the schedule — see DESIGN.md,
-///                      "Parallel solve core")
 ///   ls-restarts  int   local-search best-of-N restarts (≥ 1; 1 = the
 ///                      paper's plain -LS pass)
 ///   ls-seed      int   base seed for restart perturbation streams
+/// The GreenHEFT second pass reads the same four (solvers_heft.cpp).
 
 namespace cawo {
 
@@ -48,17 +46,6 @@ CaWoParams tuningFromOptions(const SolverOptions& options) {
   params.lsRadius = options.getInt("ls-radius", params.lsRadius);
   CAWO_REQUIRE(params.lsRadius >= 0,
                "CaWoSched option \"ls-radius\" must be >= 0");
-  return params;
-}
-
-namespace {
-
-CaWoParams paramsFromOptions(const SolverOptions& options) {
-  CaWoParams params = tuningFromOptions(options);
-  const std::int64_t threads = options.getInt("threads", params.threads);
-  CAWO_REQUIRE(threads >= 0,
-               "CaWoSched option \"threads\" must be >= 0 (0 = hardware)");
-  params.threads = static_cast<unsigned>(threads);
   const std::int64_t restarts =
       options.getInt("ls-restarts",
                      static_cast<std::int64_t>(params.lsRestarts));
@@ -68,6 +55,8 @@ CaWoParams paramsFromOptions(const SolverOptions& options) {
       "ls-seed", static_cast<std::int64_t>(params.lsSeed)));
   return params;
 }
+
+namespace {
 
 class AsapSolver final : public Solver {
 public:
@@ -111,7 +100,7 @@ public:
 
 protected:
   RawResult doSolve(const SolveRequest& request) const override {
-    const CaWoParams params = paramsFromOptions(request.options);
+    const CaWoParams params = tuningFromOptions(request.options);
     std::optional<SolveContext> local;
     const SolveContext* ctx = request.context;
     if (ctx == nullptr)

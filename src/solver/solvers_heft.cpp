@@ -20,8 +20,9 @@
 ///   alpha       double  makespan/carbon trade-off, 1.0 = plain HEFT (0.5)
 ///   variant     string  second-pass CaWoSched variant ("pressWR-LS")
 ///   link-seed   int     RNG seed for the link-processor powers
-///   block-size  int     second-pass refinement block size k (3)
-///   ls-radius   int     second-pass local-search radius µ (10)
+///   block-size, ls-radius, ls-restarts, ls-seed
+///               int     second-pass CaWoSched tuning, read as by the
+///                       CaWoSched adapters (solvers_core.cpp)
 
 namespace cawo {
 

@@ -5,8 +5,9 @@
 // climb (`localSearch`) skips tasks whose probe inputs did not change since
 // they last found no improving move; it must reproduce this oracle move for
 // move — schedule, rounds, moves and costs — while scoring no more
-// candidates. `localSearchRestartsFullSweep` is the serial best-of-N over
-// the same per-restart perturbation streams, for `localSearchRestarts`.
+// candidates. `localSearchFullSweep` takes the same options: with
+// `restarts` > 1 it climbs every restart from the same perturbation
+// streams, keeps them all and picks the winner afterwards.
 
 #include <algorithm>
 #include <cstdint>
@@ -54,13 +55,13 @@ inline void perturbSchedule(const EnhancedGraph& gc, Time deadline,
 }
 
 /// One climb that probes every nonzero-length task in every round — the
-/// former `localSearch` loop unchanged except that its trace spans are
-/// dropped and the per-round probe count is summed into `stats.probes`.
-inline LocalSearchStats localSearchFullSweep(const EnhancedGraph& gc,
-                                             const PowerProfile& profile,
-                                             Time deadline, Schedule& schedule,
-                                             const LocalSearchOptions& opts) {
-  CAWO_REQUIRE(opts.radius >= 0, "negative search radius");
+/// climb before the dirty set, without its trace spans and with the
+/// per-round probe count summed into `stats.probes`.
+inline LocalSearchStats fullSweepClimb(const EnhancedGraph& gc,
+                                       const PowerProfile& profile,
+                                       Time deadline, Schedule& schedule,
+                                       Time radius) {
+  CAWO_REQUIRE(radius >= 0, "negative search radius");
   CAWO_REQUIRE(profile.horizon() >= deadline,
                "power profile must cover the deadline");
   const ValidationResult valid = validateSchedule(gc, schedule, deadline);
@@ -95,7 +96,7 @@ inline LocalSearchStats localSearchFullSweep(const EnhancedGraph& gc,
     return a < b;
   });
 
-  while (stats.rounds < opts.maxRounds) {
+  for (;;) {
     ++stats.rounds; // counts executed passes, including the final gainless one
     std::int64_t probes = 0;
     bool improved = false;
@@ -106,15 +107,14 @@ inline LocalSearchStats localSearchFullSweep(const EnhancedGraph& gc,
         const Power w = gc.workPower(p);
         const Time cur = schedule.start(v);
         const auto [lo, hi] =
-            moveWindow(gc, deadline, schedule, v, len, opts.radius);
+            moveWindow(gc, deadline, schedule, v, len, radius);
 
         Time bestTarget = cur;
         Cost bestDelta = 0;
         if (hi >= lo) {
           // Batched probe: one prefix table over the candidate window
-          // serves every target in O(1). Selection over the delta array
-          // replays the serial order exactly: earliest minimum for
-          // BestImprovement, earliest improving delta for FirstImprovement.
+          // serves every target in O(1). The earliest improving delta
+          // wins.
           cands.clear();
           for (Time t = lo; t <= hi; ++t) cands.push_back({t, t + len});
           deltas.resize(cands.size());
@@ -126,7 +126,7 @@ inline LocalSearchStats localSearchFullSweep(const EnhancedGraph& gc,
             if (deltas[i] < bestDelta) {
               bestDelta = deltas[i];
               bestTarget = t;
-              if (opts.strategy == MoveStrategy::FirstImprovement) break;
+              break;
             }
           }
         }
@@ -145,12 +145,13 @@ inline LocalSearchStats localSearchFullSweep(const EnhancedGraph& gc,
   return stats;
 }
 
-/// Serial best-of-N over full-sweep climbs: restart 0 climbs the input,
-/// restart r > 0 climbs a copy perturbed by `Rng(seed + r·golden)`; the
-/// lowest final cost wins, ties to the lowest restart index.
-inline LocalSearchStats localSearchRestartsFullSweep(
-    const EnhancedGraph& gc, const PowerProfile& profile, Time deadline,
-    Schedule& schedule, const LocalSearchOptions& opts) {
+/// Best-of-N over full-sweep climbs: restart 0 climbs the input, restart
+/// r > 0 climbs a copy perturbed by `Rng(seed + r·golden)`; the lowest
+/// final cost wins, ties to the lowest restart index.
+inline LocalSearchStats localSearchFullSweep(const EnhancedGraph& gc,
+                                             const PowerProfile& profile,
+                                             Time deadline, Schedule& schedule,
+                                             const LocalSearchOptions& opts) {
   const std::size_t restarts = std::max<std::size_t>(1, opts.restarts);
   std::vector<Schedule> finals;
   std::vector<LocalSearchStats> runs;
@@ -161,7 +162,7 @@ inline LocalSearchStats localSearchRestartsFullSweep(
               0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(r));
       perturbSchedule(gc, deadline, mine, opts.radius * 4, rng);
     }
-    runs.push_back(localSearchFullSweep(gc, profile, deadline, mine, opts));
+    runs.push_back(fullSweepClimb(gc, profile, deadline, mine, opts.radius));
     finals.push_back(std::move(mine));
   }
   std::size_t best = 0;

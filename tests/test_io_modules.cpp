@@ -117,10 +117,12 @@ TEST(ScheduleIo, GanttValidatesArguments) {
   EXPECT_THROW(printGantt(os, gc, s, 10, 2), PreconditionError);
 }
 
-TEST(LocalSearchStrategy, BestImprovementPicksTheLargestGain) {
-  // Task at 0; two improving targets inside the radius: +3 (small gain)
-  // and +8 (big gain). First-improvement stops at +3, best-improvement
-  // jumps to +8.
+TEST(LocalSearchStrategy, FirstImprovementTakesTheEarliestImprovingMove) {
+  // Task at 0; two improving targets inside the radius: +2 (small gain)
+  // and +8 (big gain). The first round stops at the earliest, start 2,
+  // where the window already straddles into the milder interval; the
+  // climb then goes 2 → 3 → 7 → 8, each move the earliest improving
+  // target of its round, where taking the largest gain would be one move.
   const EnhancedGraph gc = testing::makeChainGc({2}, 0, 10);
   PowerProfile p;
   p.appendInterval(3, 0);  // current position: overflow 10
@@ -128,35 +130,29 @@ TEST(LocalSearchStrategy, BestImprovementPicksTheLargestGain) {
   p.appendInterval(12, 20); // full improvement: overflow 0
   LocalSearchOptions opts;
   opts.radius = 8;
-  opts.maxRounds = 1;
 
   Schedule first(1);
   first.setStart(0, 0);
-  opts.strategy = MoveStrategy::FirstImprovement;
-  localSearch(gc, p, 20, first, opts);
-  // First strictly improving position: start 2, where the window already
-  // straddles into the milder interval.
-  EXPECT_EQ(first.start(0), 2);
-
-  Schedule best(1);
-  best.setStart(0, 0);
-  opts.strategy = MoveStrategy::BestImprovement;
-  localSearch(gc, p, 20, best, opts);
-  EXPECT_EQ(best.start(0), 8);
+  const LocalSearchStats stats = localSearch(gc, p, 20, first, opts);
+  EXPECT_EQ(stats.movesApplied, 4u);
+  EXPECT_EQ(stats.rounds, 5u);
+  // Each round scores the window [start − 8, start + 8] ∩ [0, 18] around
+  // the task's start then: 0, 2, 3, 7 and 8.
+  EXPECT_EQ(stats.probes, 9u + 11u + 12u + 16u + 17u);
+  EXPECT_EQ(first.start(0), 8);
+  EXPECT_EQ(stats.initialCost, 20);
+  EXPECT_EQ(stats.finalCost, 0);
 }
 
-TEST(LocalSearchStrategy, BothStrategiesAreMonotone) {
+TEST(LocalSearchStrategy, ClimbIsMonotone) {
   Rng rng(2024);
   const EnhancedGraph gc = testing::makeGc(
       {{0, 4}, {1, 3}, {0, 2}, {1, 6}}, {{0, 2}}, {1, 2}, {5, 7});
   const Time deadline = 40;
   const PowerProfile profile = testing::randomProfile(deadline, 5, 0, 15, rng);
-  for (const MoveStrategy strategy :
-       {MoveStrategy::FirstImprovement, MoveStrategy::BestImprovement}) {
+  for (int trial = 0; trial < 2; ++trial) {
     Schedule s = testing::randomSchedule(gc, deadline, rng);
-    LocalSearchOptions opts;
-    opts.strategy = strategy;
-    const auto stats = localSearch(gc, profile, deadline, s, opts);
+    const auto stats = localSearch(gc, profile, deadline, s);
     EXPECT_LE(stats.finalCost, stats.initialCost);
     EXPECT_TRUE(validateSchedule(gc, s, deadline).ok);
   }

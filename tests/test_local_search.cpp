@@ -76,7 +76,7 @@ TEST(LocalSearch, RadiusZeroAppliesNoMoves) {
   EXPECT_EQ(s.start(0), 0);
 }
 
-TEST(LocalSearch, MaxRoundsBoundsTheHillClimb) {
+TEST(LocalSearch, ClimbsUntilARoundAppliesNoMove) {
   // Strictly increasing per-unit budgets: every one-unit right shift is a
   // strict improvement, so a µ=1 climb needs many rounds to reach the end.
   const EnhancedGraph gc = makeChainGc({2}, 0, 25);
@@ -86,16 +86,10 @@ TEST(LocalSearch, MaxRoundsBoundsTheHillClimb) {
   s.setStart(0, 0);
   LocalSearchOptions opts;
   opts.radius = 1;
-  opts.maxRounds = 1;
-  localSearch(gc, p, 20, s, opts);
-  EXPECT_EQ(s.start(0), 1); // exactly one move in one round
-
-  Schedule s2(1);
-  s2.setStart(0, 0);
-  opts.maxRounds = ~std::size_t{0};
-  const auto stats = localSearch(gc, p, 20, s2, opts);
-  EXPECT_GT(stats.rounds, 1u);
-  EXPECT_EQ(s2.start(0), 18); // climbed all the way to the greenest window
+  const auto stats = localSearch(gc, p, 20, s, opts);
+  EXPECT_EQ(stats.movesApplied, 18u); // one unit per round
+  EXPECT_EQ(stats.rounds, 19u);       // plus the final gainless round
+  EXPECT_EQ(s.start(0), 18); // climbed all the way to the greenest window
 }
 
 TEST(LocalSearch, RespectsPrecedenceWhenMoving) {

@@ -2,9 +2,9 @@
 // (tests/oracles/local_search_full_sweep.hpp): on seeded random
 // multi-processor DAGs with link processors, the climb that skips clean
 // tasks must apply the very same moves as the climb that re-probes every
-// task in every round — same schedule, rounds, moves and costs — for both
-// move strategies, every radius and every round cap, while scoring no
-// more candidates (and strictly fewer once a climb runs several rounds).
+// task in every round — same schedule, rounds, moves and costs — for every
+// radius and for best-of-N restarts, while scoring no more candidates (and
+// strictly fewer once a climb runs several rounds).
 
 #include <gtest/gtest.h>
 
@@ -87,39 +87,26 @@ void expectSameClimb(const Schedule& got, const LocalSearchStats& gotStats,
 }
 
 TEST(DirtySetLocalSearch, MatchesFullSweepOracle) {
-  constexpr std::size_t kUnbounded = ~std::size_t{0};
   std::size_t multiRoundClimbs = 0;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     const RandomInstance inst = randomInstance(seed);
     ASSERT_GT(inst.gc.numLinks(), 0) << "seed " << seed;
-    for (const MoveStrategy strategy :
-         {MoveStrategy::FirstImprovement, MoveStrategy::BestImprovement}) {
-      for (const Time radius : {0, 1, 3, 10, 40}) {
-        for (const std::size_t maxRounds : {std::size_t{1}, std::size_t{3},
-                                            kUnbounded}) {
-          LocalSearchOptions opts;
-          opts.strategy = strategy;
-          opts.radius = radius;
-          opts.maxRounds = maxRounds;
-          const std::string label =
-              "seed=" + std::to_string(seed) + " strategy=" +
-              (strategy == MoveStrategy::BestImprovement ? "best" : "first") +
-              " radius=" + std::to_string(radius) + " maxRounds=" +
-              (maxRounds == kUnbounded ? "unbounded"
-                                       : std::to_string(maxRounds));
+    for (const Time radius : {0, 1, 3, 10, 40}) {
+      LocalSearchOptions opts;
+      opts.radius = radius;
+      const std::string label =
+          "seed=" + std::to_string(seed) + " radius=" + std::to_string(radius);
 
-          Schedule dirtySet = inst.start;
-          const LocalSearchStats got = localSearch(
-              inst.gc, inst.profile, inst.deadline, dirtySet, opts);
-          Schedule fullSweep = inst.start;
-          const LocalSearchStats want = oracle::localSearchFullSweep(
-              inst.gc, inst.profile, inst.deadline, fullSweep, opts);
-          expectSameClimb(dirtySet, got, fullSweep, want, label);
-          if (want.rounds > 1) {
-            ++multiRoundClimbs;
-            EXPECT_LT(got.probes, want.probes) << label;
-          }
-        }
+      Schedule dirtySet = inst.start;
+      const LocalSearchStats got =
+          localSearch(inst.gc, inst.profile, inst.deadline, dirtySet, opts);
+      Schedule fullSweep = inst.start;
+      const LocalSearchStats want = oracle::localSearchFullSweep(
+          inst.gc, inst.profile, inst.deadline, fullSweep, opts);
+      expectSameClimb(dirtySet, got, fullSweep, want, label);
+      if (want.rounds > 1) {
+        ++multiRoundClimbs;
+        EXPECT_LT(got.probes, want.probes) << label;
       }
     }
   }
@@ -132,20 +119,16 @@ TEST(DirtySetLocalSearch, RestartsMatchFullSweepOracle) {
   LocalSearchOptions opts;
   opts.restarts = 4;
   Schedule oracleSchedule = inst.start;
-  const LocalSearchStats want = oracle::localSearchRestartsFullSweep(
+  const LocalSearchStats want = oracle::localSearchFullSweep(
       inst.gc, inst.profile, inst.deadline, oracleSchedule, opts);
   EXPECT_GT(want.movesApplied, 0u);
 
-  for (const unsigned threads : {1u, 4u}) {
-    opts.threads = threads;
-    Schedule s = inst.start;
-    const LocalSearchStats got =
-        localSearchRestarts(inst.gc, inst.profile, inst.deadline, s, opts);
-    const std::string label = "threads=" + std::to_string(threads);
-    expectSameClimb(s, got, oracleSchedule, want, label);
-    EXPECT_EQ(got.restartsRun, 4u) << label;
-    EXPECT_EQ(got.bestRestart, want.bestRestart) << label;
-  }
+  Schedule s = inst.start;
+  const LocalSearchStats got =
+      localSearch(inst.gc, inst.profile, inst.deadline, s, opts);
+  expectSameClimb(s, got, oracleSchedule, want, "restarts=4");
+  EXPECT_EQ(got.restartsRun, 4u);
+  EXPECT_EQ(got.bestRestart, want.bestRestart);
 }
 
 } // namespace

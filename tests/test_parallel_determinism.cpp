@@ -1,22 +1,17 @@
-// The parallel solve core's determinism contract (see DESIGN.md,
-// "Parallel solve core"): every parallel kernel must produce the same
-// bytes as its serial twin for every thread count — the fan-outs reduce
-// in deterministic order (candidate index, restart index), never in
-// arrival order.
+// A solve is serial and deterministic (see DESIGN.md, "Where parallelism
+// lives"): whatever ran before on a shared context, a run reproduces the
+// run on a throwaway context byte for byte.
 //
 //   * all 16 CaWoSched variants over random DAGs, each run through
-//     `runVariant` on one shared context with multi-start local search at
-//     threads ∈ {1, 2, 8} and repeated runs — every schedule and search
-//     trajectory bit-identical to the threads = 1 run;
-//   * multi-start local search (`localSearchRestarts`) reproducing the
-//     serial best-of-N merge exactly at every thread count;
-//   * a wide-window climb ignoring `threads`: one climb's candidate scan
-//     is serial, so any thread count gives the threads = 1 result for
-//     both move strategies.
+//     `runVariant` with multi-start local search on one shared context,
+//     twice — every schedule and search trajectory bit-identical to the
+//     same variant on its own throwaway context;
+//   * multi-start local search repeating itself exactly, never losing to
+//     the plain climb, which is its restart 0, and breaking ties towards
+//     the lowest restart.
 
 #include <gtest/gtest.h>
 
-#include <utility>
 #include <vector>
 
 #include "core/asap.hpp"
@@ -29,7 +24,6 @@
 namespace cawo {
 namespace {
 
-using testing::makeIndependentGc;
 using testing::randomDag;
 using testing::randomProfile;
 
@@ -48,54 +42,49 @@ RandomInstance randomInstance(std::uint64_t seed) {
 }
 
 // -------------------------------------------------------------------------
-// All variants: 16 variants × threads {1, 2, 8} × repeated runs.
+// All variants: 16 variants × two passes over one shared context.
 // -------------------------------------------------------------------------
 
-TEST(ParallelDeterminism, AllVariantsBitIdenticalAcrossThreadCounts) {
+TEST(ParallelDeterminism, AllVariantsBitIdenticalOnASharedContext) {
   const std::vector<VariantSpec> variants = allVariants();
   ASSERT_EQ(variants.size(), 16u);
-  CaWoParams serial;
-  serial.lsRestarts = 3; // the thread count reaches the restart fan-out
+  CaWoParams params;
+  params.lsRestarts = 3;
 
   for (const std::uint64_t seed : {11u, 23u, 47u}) {
     const RandomInstance inst = randomInstance(seed);
 
-    // Reference: threads = 1, one throwaway context per variant — exactly
-    // the single-solver code path.
+    // Reference: one throwaway context per variant — exactly the
+    // single-solver code path.
     std::vector<Schedule> reference;
-    for (const VariantSpec& spec : variants)
-      reference.push_back(
-          runVariant(inst.gc, inst.profile, inst.deadline, spec, serial));
     std::vector<VariantRunStats> referenceStats(variants.size());
-    {
-      const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
-      for (std::size_t i = 0; i < variants.size(); ++i)
-        (void)runVariant(ctx, variants[i], serial, &referenceStats[i]);
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+      const SolveContext own(inst.gc, inst.profile, inst.deadline);
+      reference.push_back(
+          runVariant(own, variants[i], params, &referenceStats[i]));
     }
 
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      CaWoParams params = serial;
-      params.threads = threads;
-      const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
-      // The second pass runs on the already-filled context: nothing
-      // about a previous run may leak into the next.
-      for (const int pass : {0, 1}) {
-        for (std::size_t i = 0; i < variants.size(); ++i) {
-          VariantRunStats stats;
-          const Schedule s = runVariant(ctx, variants[i], params, &stats);
-          EXPECT_EQ(s.starts(), reference[i].starts())
-              << "variant " << variants[i].name() << " diverged at threads="
-              << threads << " (seed " << seed << ", pass " << pass << ")";
-          EXPECT_EQ(stats.lsRan, variants[i].localSearch);
-          if (!stats.lsRan) continue;
-          // Wall times differ run to run; the search trajectory must not.
-          const LocalSearchStats& want = referenceStats[i].ls;
-          EXPECT_EQ(stats.ls.rounds, want.rounds);
-          EXPECT_EQ(stats.ls.movesApplied, want.movesApplied);
-          EXPECT_EQ(stats.ls.initialCost, want.initialCost);
-          EXPECT_EQ(stats.ls.finalCost, want.finalCost);
-          EXPECT_EQ(stats.ls.bestRestart, want.bestRestart);
-        }
+    const SolveContext ctx(inst.gc, inst.profile, inst.deadline);
+    // The second pass runs on the already-filled context: nothing about a
+    // previous run may leak into the next.
+    for (const int pass : {0, 1}) {
+      for (std::size_t i = 0; i < variants.size(); ++i) {
+        VariantRunStats stats;
+        const Schedule s = runVariant(ctx, variants[i], params, &stats);
+        EXPECT_EQ(s.starts(), reference[i].starts())
+            << "variant " << variants[i].name() << " diverged (seed "
+            << seed << ", pass " << pass << ")";
+        EXPECT_EQ(stats.lsRan, variants[i].localSearch);
+        if (!stats.lsRan) continue;
+        // Wall times differ run to run; the search trajectory must not.
+        const LocalSearchStats& want = referenceStats[i].ls;
+        EXPECT_EQ(stats.ls.rounds, want.rounds);
+        EXPECT_EQ(stats.ls.movesApplied, want.movesApplied);
+        EXPECT_EQ(stats.ls.probes, want.probes);
+        EXPECT_EQ(stats.ls.initialCost, want.initialCost);
+        EXPECT_EQ(stats.ls.finalCost, want.finalCost);
+        EXPECT_EQ(stats.ls.restartsRun, 3u);
+        EXPECT_EQ(stats.ls.bestRestart, want.bestRestart);
       }
     }
   }
@@ -105,7 +94,7 @@ TEST(ParallelDeterminism, AllVariantsBitIdenticalAcrossThreadCounts) {
 // Multi-start local search.
 // -------------------------------------------------------------------------
 
-TEST(ParallelDeterminism, RestartsReproduceSerialBestOfNExactly) {
+TEST(ParallelDeterminism, RestartsRepeatExactlyAndNeverLoseToThePlainClimb) {
   const RandomInstance inst = randomInstance(31);
   const Schedule base = runVariant(inst.gc, inst.profile, inst.deadline,
                                    VariantSpec{BaseScore::Pressure, true,
@@ -113,101 +102,49 @@ TEST(ParallelDeterminism, RestartsReproduceSerialBestOfNExactly) {
 
   LocalSearchOptions opts;
   opts.restarts = 5;
+  Schedule first = base;
+  const LocalSearchStats firstStats =
+      localSearch(inst.gc, inst.profile, inst.deadline, first, opts);
+  EXPECT_EQ(firstStats.restartsRun, 5u);
 
-  // threads == 1 *is* the serial best-of-N: the fan-out loop runs inline
-  // in restart order. Every other thread count must reproduce it.
-  Schedule serial = base;
-  opts.threads = 1;
-  const LocalSearchStats serialStats =
-      localSearchRestarts(inst.gc, inst.profile, inst.deadline, serial, opts);
-  EXPECT_EQ(serialStats.restartsRun, 5u);
-
-  for (const unsigned threads : {2u, 8u}) {
-    Schedule parallel = base;
-    opts.threads = threads;
-    const LocalSearchStats stats = localSearchRestarts(
-        inst.gc, inst.profile, inst.deadline, parallel, opts);
-    EXPECT_EQ(parallel.starts(), serial.starts())
-        << "restart merge diverged at threads=" << threads;
-    EXPECT_EQ(stats.bestRestart, serialStats.bestRestart);
-    EXPECT_EQ(stats.finalCost, serialStats.finalCost);
-    EXPECT_EQ(stats.initialCost, serialStats.initialCost);
-    EXPECT_EQ(stats.rounds, serialStats.rounds);
-    EXPECT_EQ(stats.movesApplied, serialStats.movesApplied);
-  }
+  Schedule again = base;
+  const LocalSearchStats againStats =
+      localSearch(inst.gc, inst.profile, inst.deadline, again, opts);
+  EXPECT_EQ(again.starts(), first.starts());
+  EXPECT_EQ(againStats.bestRestart, firstStats.bestRestart);
+  EXPECT_EQ(againStats.finalCost, firstStats.finalCost);
+  EXPECT_EQ(againStats.rounds, firstStats.rounds);
+  EXPECT_EQ(againStats.movesApplied, firstStats.movesApplied);
 
   // The winner can never lose to the plain single climb — restart 0 *is*
   // the plain climb.
   Schedule plain = base;
   const LocalSearchStats plainStats =
       localSearch(inst.gc, inst.profile, inst.deadline, plain);
-  EXPECT_LE(serialStats.finalCost, plainStats.finalCost);
-  if (serialStats.bestRestart == 0) {
-    EXPECT_EQ(serial.starts(), plain.starts());
+  EXPECT_EQ(plainStats.restartsRun, 1u);
+  EXPECT_EQ(firstStats.initialCost, plainStats.initialCost);
+  EXPECT_LE(firstStats.finalCost, plainStats.finalCost);
+  if (firstStats.bestRestart == 0) {
+    EXPECT_EQ(first.starts(), plain.starts());
   }
 }
 
-TEST(ParallelDeterminism, SingleRestartIsPlainLocalSearch) {
-  const RandomInstance inst = randomInstance(7);
-  const Schedule base = runVariant(inst.gc, inst.profile, inst.deadline,
-                                   VariantSpec{BaseScore::Slack, false,
-                                               false, false});
-  Schedule viaRestarts = base;
-  Schedule viaPlain = base;
+TEST(ParallelDeterminism, RestartTiesGoToTheLowestRestart) {
+  // Green power covers every draw, so every climb ends at cost 0: all
+  // restarts tie, and restart 0 — the unperturbed input — must win.
+  RandomInstance inst = randomInstance(5);
+  inst.profile = PowerProfile{};
+  inst.profile.appendInterval(inst.deadline, 1000000);
+  const Schedule input = scheduleAsap(inst.gc);
+  Schedule s = input;
   LocalSearchOptions opts;
-  opts.restarts = 1;
-  opts.threads = 8; // must be ignored: nothing to fan out
-  const LocalSearchStats a = localSearchRestarts(
-      inst.gc, inst.profile, inst.deadline, viaRestarts, opts);
-  const LocalSearchStats b =
-      localSearch(inst.gc, inst.profile, inst.deadline, viaPlain);
-  EXPECT_EQ(viaRestarts.starts(), viaPlain.starts());
-  EXPECT_EQ(a.finalCost, b.finalCost);
-  EXPECT_EQ(a.restartsRun, 1u);
-  EXPECT_EQ(a.bestRestart, 0u);
-}
-
-// -------------------------------------------------------------------------
-// Wide-window climb: the candidate scan is serial at every `threads`
-// value, so a plain climb must pick the very same moves at any thread
-// count, for both strategies.
-// -------------------------------------------------------------------------
-
-TEST(ParallelDeterminism, WideWindowClimbIgnoresThreads) {
-  Rng rng(97);
-  // Independent tasks with huge slack: every probe window is thousands of
-  // candidates wide.
-  const EnhancedGraph gc = makeIndependentGc({25, 40, 15, 30, 20, 35},
-                                             {1, 2, 1, 2, 1, 2},
-                                             {5, 3, 6, 2, 4, 7});
-  const Time deadline = 4000;
-  const PowerProfile profile = randomProfile(deadline, 24, 3, 20, rng);
-  Schedule base(gc.numNodes());
-  for (TaskId v = 0; v < gc.numNodes(); ++v) base.setStart(v, 0);
-
-  for (const MoveStrategy strategy :
-       {MoveStrategy::FirstImprovement, MoveStrategy::BestImprovement}) {
-    LocalSearchOptions opts;
-    opts.strategy = strategy;
-    opts.radius = deadline; // the whole horizon is in reach
-
-    Schedule serial = base;
-    opts.threads = 1;
-    const LocalSearchStats serialStats =
-        localSearch(gc, profile, deadline, serial, opts);
-
-    for (const unsigned threads : {2u, 8u}) {
-      Schedule parallel = base;
-      opts.threads = threads;
-      const LocalSearchStats stats =
-          localSearch(gc, profile, deadline, parallel, opts);
-      EXPECT_EQ(parallel.starts(), serial.starts())
-          << "scan diverged at threads=" << threads << ", strategy="
-          << (strategy == MoveStrategy::BestImprovement ? "best" : "first");
-      EXPECT_EQ(stats.movesApplied, serialStats.movesApplied);
-      EXPECT_EQ(stats.finalCost, serialStats.finalCost);
-    }
-  }
+  opts.restarts = 4;
+  const LocalSearchStats stats =
+      localSearch(inst.gc, inst.profile, inst.deadline, s, opts);
+  EXPECT_EQ(stats.finalCost, 0);
+  EXPECT_EQ(stats.restartsRun, 4u);
+  EXPECT_EQ(stats.bestRestart, 0u);
+  EXPECT_EQ(s.starts(), input.starts());
 }
 
 } // namespace

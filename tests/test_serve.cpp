@@ -336,6 +336,30 @@ TEST(ServeServer, CachedSolveIsBitIdenticalToColdSolve) {
         << " differs between cold and cached solves";
 }
 
+TEST(ServeServer, ThreadsOptionIsAnIgnoredUnknownKey) {
+  // A solve runs on its worker's thread: a "threads" key in the options
+  // bag changes nothing, multi-start local search included.
+  ServeServer server(smallOptions());
+  const std::string head =
+      "{\"kind\":\"solve\",\"id\":\"r\",\"tasks\":30,\"intervals\":24,"
+      "\"deadline_factor\":1.2,\"algo\":\"pressWR-LS\","
+      "\"return_schedule\":true,\"options\":{\"ls-restarts\":3,"
+      "\"ls-seed\":7";
+  const JsonValue plain = submitParsed(server, head + "}}");
+  const JsonValue threaded =
+      submitParsed(server, head + ",\"threads\":8}}");
+  expectEnvelope(plain, "r", "solve", true);
+  expectEnvelope(threaded, "r", "solve", true);
+  EXPECT_EQ(threaded.at("result").at("cost").asInt(),
+            plain.at("result").at("cost").asInt());
+  const std::vector<JsonValue>& a = plain.at("result").at("schedule").asArray();
+  const std::vector<JsonValue>& b =
+      threaded.at("result").at("schedule").asArray();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(a[i].asInt(), b[i].asInt()) << "start of node " << i;
+}
+
 TEST(ServeServer, QueueFullRejectsWithBackpressure) {
   // One worker held at the gate, queue capacity 1: the first job
   // occupies the worker, the second fills the queue, the third bounces.

@@ -1,8 +1,8 @@
 // The telemetry layer's hard constraint (tracing must never change
 // schedules): all 16 CaWoSched variants, run through `runVariant` on one
 // shared context with multi-start local search, produce bit-identical
-// schedules with the trace recorder Off, Idle and Recording, at
-// threads ∈ {1, 8}. Plus a golden-shape check on the recorded trace:
+// schedules with the trace recorder Off, Idle and Recording. Plus a
+// golden-shape check on the recorded trace:
 // valid Chrome trace-event JSON whose child spans nest within their
 // parents on every lane.
 
@@ -44,11 +44,9 @@ Fixture makeFixture(std::uint64_t seed) {
 }
 
 /// Every variant in order on one shared context, as the campaign runner
-/// solves an instance's cells. `lsRestarts > 1` so `threads` reaches the
-/// local-search restart fan-out.
-std::vector<Schedule> runAllVariants(const Fixture& f, unsigned threads) {
+/// solves an instance's cells, with multi-start local search.
+std::vector<Schedule> runAllVariants(const Fixture& f) {
   CaWoParams params;
-  params.threads = threads;
   params.lsRestarts = 3;
   const SolveContext ctx(f.gc, f.profile, f.deadline);
   std::vector<Schedule> out;
@@ -75,23 +73,17 @@ TEST_F(TraceScheduleTest, SchedulesBitIdenticalAcrossTraceStates) {
   const Fixture f = makeFixture(101);
 
   // Reference: tracing Off.
-  std::vector<std::vector<Schedule>> reference;
-  for (const unsigned threads : {1u, 8u})
-    reference.push_back(runAllVariants(f, threads));
+  const std::vector<Schedule> reference = runAllVariants(f);
 
   for (const TraceState state : {TraceState::Idle, TraceState::Recording}) {
     TraceRecorder::global().clear();
     TraceRecorder::global().setState(state);
-    std::size_t t = 0;
-    for (const unsigned threads : {1u, 8u}) {
-      const std::vector<Schedule> traced = runAllVariants(f, threads);
-      ASSERT_EQ(traced.size(), variants.size());
-      for (std::size_t i = 0; i < variants.size(); ++i)
-        EXPECT_EQ(traced[i].starts(), reference[t][i].starts())
-            << "variant " << variants[i].name() << " diverged at threads="
-            << threads << " with trace state " << static_cast<int>(state);
-      ++t;
-    }
+    const std::vector<Schedule> traced = runAllVariants(f);
+    ASSERT_EQ(traced.size(), variants.size());
+    for (std::size_t i = 0; i < variants.size(); ++i)
+      EXPECT_EQ(traced[i].starts(), reference[i].starts())
+          << "variant " << variants[i].name() << " diverged with trace state "
+          << static_cast<int>(state);
     TraceRecorder::global().setState(TraceState::Off);
     if (state == TraceState::Idle)
       EXPECT_EQ(TraceRecorder::global().eventCount(), 0u)
@@ -106,7 +98,7 @@ TEST_F(TraceScheduleTest, RecordedTraceHasGoldenShape) {
   const Fixture f = makeFixture(7);
 
   TraceRecorder::global().setState(TraceState::Recording);
-  (void)runAllVariants(f, 8);
+  (void)runAllVariants(f);
   TraceRecorder::global().setState(TraceState::Off);
 
   std::ostringstream out;
@@ -168,6 +160,9 @@ TEST_F(TraceScheduleTest, RecordedTraceHasGoldenShape) {
   std::ostringstream summary;
   TraceRecorder::global().writeSummary(summary);
   EXPECT_NE(summary.str().find("solve.variant/greedy"), std::string::npos);
+  // Local search is one `ls` phase of serial `ls.climb` restarts.
+  EXPECT_NE(summary.str().find("solve.variant/ls/ls.climb/ls.round"),
+            std::string::npos);
 }
 
 } // namespace

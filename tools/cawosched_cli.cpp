@@ -162,12 +162,9 @@ int runSchedule(const CliArgs& args) {
 
   // Run the selection, optionally across threads (0 = hardware). Solvers
   // are independent and deterministic, so the parallelism only affects
-  // wall time, never results. A multi-solver selection fans out across
-  // solvers; a single solver gets the budget for its local-search
-  // restart fan-out instead (equally deterministic).
+  // wall time, never results; each solve runs on its worker's thread.
   std::vector<CliRun> runs(names.size());
   const unsigned threads = threadsFromArgs(args, "threads", 1);
-  if (names.size() == 1) request.options.setInt("threads", threads);
   parallelFor(names.size(), threads, [&](std::size_t i) {
     runs[i].name = names[i];
     try {
@@ -689,11 +686,10 @@ int runReplayCommand(const CliArgs& args) {
 // TCP socket too.
 
 constexpr const char* kServeUsage =
-    R"(usage: cawosched-cli serve [--port=N] [--workers=N] [--threads=N]
+    R"(usage: cawosched-cli serve [--port=N] [--workers=N]
   [--queue-capacity=64] [--cache-capacity=16] [--default-timeout-ms=0]
   [--max-request-bytes=1048576] [--block-size=3] [--ls-radius=10] [--quiet]
---workers sizes the request pool (0 = hardware); --threads sets the default
-intra-solve thread budget per request (0 = hardware; results never change).
+--workers sizes the request pool (0 = hardware).
 Long-running scheduler daemon: one JSON request per line on stdin, one JSON
 response per line on stdout (cawosched-serve-v1 — kinds: solve, replay, list,
 stats, shutdown; see docs/formats.md). With --port the same protocol is also
@@ -733,9 +729,6 @@ int runServeCommand(const CliArgs& args) {
     throw UsageError("flag --port must be in [0, 65535], got " +
                      std::to_string(port));
   options.solverDefaults = tuningOptions(args);
-  if (args.has("threads"))
-    options.solverDefaults.setInt("threads",
-                                  threadsFromArgs(args, "threads", 1));
 
   ServeServer server(options);
   std::unique_ptr<TcpServeListener> listener;
@@ -814,7 +807,7 @@ const std::vector<Command>& commands() {
         "ls-radius", "alpha", "out", "trace", "trace-summary"},
        kReplayUsage, "", {"policies"}, runReplayCommand},
       {"serve",
-       {"help", "port", "workers", "threads", "queue-capacity",
+       {"help", "port", "workers", "queue-capacity",
         "cache-capacity", "default-timeout-ms", "max-request-bytes",
         "block-size", "ls-radius", "quiet", "trace", "trace-summary"},
        kServeUsage, "", {}, runServeCommand},
