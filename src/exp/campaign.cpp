@@ -48,6 +48,20 @@ std::vector<std::string> nonEmptyList(const std::string& key,
   return items;
 }
 
+/// Validate a profile spec now with a dry-run generation at a tiny
+/// horizon: unknown sources, parameter typos, out-of-range values and
+/// unreadable trace files all fail at campaign-parse time instead of hours
+/// into a sweep. (A trace that is long enough for this probe can still
+/// turn out too short for a real deadline — that one case remains a
+/// run-time error.)
+void probeProfileSpec(const std::string& specText) {
+  ProfileRequest probe;
+  probe.horizon = 1;
+  probe.sumIdle = 1;
+  probe.sumWork = 1;
+  (void)generateProfile(specText, probe);
+}
+
 } // namespace
 
 std::size_t CampaignSpec::cellCount() const {
@@ -107,20 +121,7 @@ void setCampaignKey(CampaignSpec& spec, const std::string& key,
     if (scenarios.size() == 1 && scenarios[0] == "all") {
       scenarios = paperScenarioNames();
     } else {
-      // Validate every spec now with a dry-run generation at a tiny
-      // horizon: unknown sources, parameter typos, out-of-range values
-      // and unreadable trace files all fail at campaign-parse time
-      // instead of hours into a sweep. (A trace that is long enough for
-      // this probe can still turn out too short for a real deadline —
-      // that one case remains a run-time error.)
-      const ProfileSourceRegistry& registry = ProfileSourceRegistry::global();
-      for (const std::string& item : scenarios) {
-        ProfileRequest probe;
-        probe.horizon = 1;
-        probe.sumIdle = 1;
-        probe.sumWork = 1;
-        (void)registry.generate(registry.resolve(item), probe);
-      }
+      for (const std::string& item : scenarios) probeProfileSpec(item);
     }
     spec.scenarios = std::move(scenarios);
   } else if (key == "deadline-factors") {
@@ -161,14 +162,7 @@ void setCampaignKey(CampaignSpec& spec, const std::string& key,
     if (v.empty()) {
       spec.actual.clear();
     } else {
-      // Same dry-run probe as the scenarios axis: a bad actual spec must
-      // fail at parse time, not mid-sweep.
-      const ProfileSourceRegistry& registry = ProfileSourceRegistry::global();
-      ProfileRequest probe;
-      probe.horizon = 1;
-      probe.sumIdle = 1;
-      probe.sumWork = 1;
-      (void)registry.generate(registry.resolve(v), probe);
+      probeProfileSpec(v);
       spec.actual = v;
     }
   } else if (key == "policies") {

@@ -238,19 +238,12 @@ void runOnlineInstanceCell(const Instance& instance,
   assignBaselineRatios(records, solvers.size() * P);
 }
 
-/// An explicit actual is mutually exclusive with +noise forecast specs:
-/// the modifier is *the* forecast error, so combining both would
-/// silently change what the solvers plan against. Fail before any
-/// instance is built.
+/// Fail fast, before any instance is built, on a +noise scenario spec
+/// together with an explicit actual.
 void requireConsistentOnlineSpec(const CampaignSpec& spec) {
-  if (!spec.online || spec.actual.empty()) return;
-  for (const std::string& scenario : spec.scenarios) {
-    CAWO_REQUIRE(!ProfileSpec::parse(scenario).hasNoise,
-                 "online campaign: scenario spec \"" + scenario +
-                     "\" carries a +noise modifier (read as forecast "
-                     "error) AND actual=\"" + spec.actual +
-                     "\" is set — drop one of the two");
-  }
+  if (!spec.online) return;
+  for (const std::string& scenario : spec.scenarios)
+    requireForecastWithoutNoise(scenario, spec.actual);
 }
 
 /// Build + solve one instance's whole cell group into `records`

@@ -4,8 +4,8 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "util/spec.hpp"
 #include "util/types.hpp"
 
 /// \file policy.hpp
@@ -15,8 +15,8 @@
 /// The replay engine consults a `ReschedulePolicy` at every
 /// task-completion event batch: the policy decides whether the residual
 /// problem (the not-yet-started remainder) should be re-solved against the
-/// latest information. Policies are named by compact specs mirroring the
-/// profile-source grammar:
+/// latest information. Policies are named by specs in the grammar profile
+/// sources use (util/spec.hpp), without the `+noise` modifier:
 ///
 ///   static                       never re-solve — execute the offline plan
 ///   periodic:every=K             re-solve once K forecast intervals elapse
@@ -25,37 +25,14 @@
 ///                                deviates from the plan's forecast by ≥ X
 ///                                (relative), then re-arm
 ///
-/// The `ReschedulePolicyRegistry` mirrors `SolverRegistry` and
+/// The `ReschedulePolicyRegistry` is a `SpecRegistry`, like
 /// `ProfileSourceRegistry`: built-ins self-register on first use, new
 /// policies plug in through `ReschedulePolicyRegistry::global()
-/// .registerPolicy`, and every surface that takes a policy
+/// .registerFactory`, and every surface that takes a policy
 /// (`cawosched-cli replay`, the campaign `policies` axis,
 /// `bench_online_regret`) accepts any registered spec.
 
 namespace cawo {
-
-/// One `key=value` parameter of a policy spec.
-struct PolicyParam {
-  std::string key;
-  std::string value;
-};
-
-/// A parsed policy spec: `name[:key=value,...]`.
-struct PolicySpec {
-  std::string name;                ///< registered policy name
-  std::vector<PolicyParam> params; ///< in spec order
-  std::string text;                ///< the spec string, verbatim
-
-  /// Parse a spec string; throws PreconditionError on malformed input.
-  /// Does not check that the policy is registered — use
-  /// `ReschedulePolicyRegistry::resolve` for that.
-  static PolicySpec parse(const std::string& specText);
-
-  bool hasParam(const std::string& key) const;
-  std::string param(const std::string& key, const std::string& fallback) const;
-  double paramDouble(const std::string& key, double fallback) const;
-  std::int64_t paramInt(const std::string& key, std::int64_t fallback) const;
-};
 
 /// What a policy sees at one completion-event batch. Cheap signals are
 /// precomputed; the carbon-deviation signal costs two prefix sweeps and is
@@ -98,55 +75,22 @@ public:
 
 using PolicyPtr = std::unique_ptr<ReschedulePolicy>;
 
-/// Listing metadata for `--list-policies` and error messages.
-struct PolicyInfo {
-  std::string name;        ///< registered policy name
-  std::string syntax;      ///< spec syntax, e.g. "periodic:every=K"
-  std::string description; ///< one-line human description
-};
+/// A factory receives the parsed spec (for its parameters) and returns a
+/// fresh policy instance for one replay.
+using PolicyFactory = std::function<PolicyPtr(const Spec&)>;
 
 /// Name → factory registry over every rescheduling policy.
-class ReschedulePolicyRegistry {
+class ReschedulePolicyRegistry : public SpecRegistry<PolicyFactory> {
 public:
-  /// A factory receives the parsed spec (for its parameters) and returns a
-  /// fresh policy instance for one replay.
-  using Factory = std::function<PolicyPtr(const PolicySpec&)>;
+  ReschedulePolicyRegistry();
 
   /// The process-wide registry, with the built-in policies pre-registered:
   /// "static", "periodic" and "reactive".
   static ReschedulePolicyRegistry& global();
 
-  /// Register a policy. Throws PreconditionError on duplicate names.
-  void registerPolicy(PolicyInfo info, Factory factory);
-
-  bool contains(const std::string& name) const;
-
-  /// All registered policy names, in registration (canonical) order.
-  std::vector<std::string> names() const;
-
-  /// Listing metadata for a registered policy; throws for unknown names.
-  const PolicyInfo& info(const std::string& name) const;
-
   /// Parse `specText`, check its name is registered, and instantiate the
   /// policy. Throws PreconditionError listing every registered policy.
   PolicyPtr resolve(const std::string& specText) const;
-
-  /// One-line enumeration of registered specs and syntax.
-  std::string syntaxSummary() const;
-
-  ReschedulePolicyRegistry() = default;
-  ReschedulePolicyRegistry(const ReschedulePolicyRegistry&) = delete;
-  ReschedulePolicyRegistry& operator=(const ReschedulePolicyRegistry&) =
-      delete;
-
-private:
-  struct Entry {
-    PolicyInfo info;
-    Factory factory;
-  };
-  const Entry* find(const std::string& name) const;
-
-  std::vector<Entry> entries_; // registration order == listing order
 };
 
 /// Register the built-in policies into `registry` (called once by

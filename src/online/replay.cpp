@@ -445,19 +445,6 @@ OnlineResult replayOnline(const Instance& instance,
   return result;
 }
 
-/// An explicit actual spec is mutually exclusive with a `+noise` modifier
-/// on the forecast spec: the modifier *is* the forecast error, so with an
-/// explicit actual it would silently change what the solver plans against.
-void requireForecastWithoutNoise(const InstanceSpec& spec,
-                                 const std::string& actualSpec) {
-  CAWO_REQUIRE(
-      !ProfileSpec::parse(spec.scenario).hasNoise,
-      "the forecast spec \"" + spec.scenario +
-          "\" carries a +noise modifier (read as forecast error) AND an "
-          "explicit actual \"" + actualSpec +
-          "\" was given — drop one of the two");
-}
-
 OnlineResult replayOnline(const Instance& instance,
                           const std::string& actualSpec,
                           const OnlineOptions& options) {
@@ -469,7 +456,7 @@ OnlineResult replayOnline(const Instance& instance,
         generateForecastActualPair(instance.spec.scenario, request);
     return replayOnline(instance, pair.forecast, pair.actual, options);
   }
-  requireForecastWithoutNoise(instance.spec, actualSpec);
+  requireForecastWithoutNoise(instance.spec.scenario, actualSpec);
   const PowerProfile actual = generateProfile(actualSpec, request);
   return replayOnline(instance, instance.profile, actual, options);
 }
@@ -549,7 +536,7 @@ std::vector<OnlineResult> replayOnlinePolicies(
     return replayOnlinePolicies(instance, pair.forecast, pair.actual,
                                 options, policies);
   }
-  requireForecastWithoutNoise(instance.spec, actualSpec);
+  requireForecastWithoutNoise(instance.spec.scenario, actualSpec);
   const PowerProfile actual = generateProfile(actualSpec, request);
   return replayOnlinePolicies(instance, instance.profile, actual, options,
                               policies);

@@ -30,83 +30,36 @@ std::string shortestDouble(double v) {
 
 } // namespace
 
-// ---------------------------------------------------------------------------
-// ProfileSpec
-// ---------------------------------------------------------------------------
-
 ProfileSpec ProfileSpec::parse(const std::string& specText) {
   const std::string text{trim(specText)};
-  CAWO_REQUIRE(!text.empty(), "empty profile spec");
-  ProfileSpec spec;
-  spec.text = text;
-  const std::string where = "profile spec \"" + text + "\"";
-
-  std::string head = text;
   const std::size_t plus = text.find(kNoiseMarker);
-  if (plus != std::string::npos) {
-    head = text.substr(0, plus);
-    const std::string modifier =
-        text.substr(plus + std::strlen(kNoiseMarker));
-    const std::vector<std::string> tokens = split(modifier, ',');
-    spec.hasNoise = true;
-    spec.noise =
-        parseDoubleStrict(where + ": noise amplitude",
-                          std::string{trim(tokens.front())});
-    CAWO_REQUIRE(spec.noise >= 0.0 && spec.noise < 1.0,
-                 where + ": noise amplitude must be in [0, 1)");
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      const std::string token{trim(tokens[i])};
-      CAWO_REQUIRE(startsWith(token, "seed="),
-                   where + ": unknown noise-modifier token \"" + token +
-                       "\" (expected seed=N)");
-      CAWO_REQUIRE(!spec.hasNoiseSeed,
-                   where + ": duplicate seed= in the noise modifier");
-      const std::string value = token.substr(5);
-      spec.hasNoiseSeed = true;
-      spec.noiseSeed = parseUint64Strict(where + ": noise seed", value);
-    }
-  }
+  ProfileSpec spec;
+  static_cast<Spec&>(spec) = Spec::parse(text, plus);
+  if (plus == std::string::npos) return spec;
 
-  const std::string headTrimmed{trim(head)};
-  CAWO_REQUIRE(!headTrimmed.empty(), where + ": no source before '+noise'");
-  const std::size_t colon = headTrimmed.find(':');
-  if (colon == std::string::npos) {
-    spec.source = headTrimmed;
-  } else {
-    spec.source = std::string{trim(headTrimmed.substr(0, colon))};
-    const std::string paramText = headTrimmed.substr(colon + 1);
-    CAWO_REQUIRE(!trim(paramText).empty(),
-                 where + ": dangling ':' without parameters");
-    for (const std::string& part : split(paramText, ',')) {
-      const std::string item{trim(part)};
-      CAWO_REQUIRE(!item.empty(), where + ": empty parameter");
-      const std::size_t eq = item.find('=');
-      if (eq == std::string::npos) {
-        spec.params.push_back({"", item}); // positional (e.g. a trace path)
-        continue;
-      }
-      const std::string key{trim(item.substr(0, eq))};
-      const std::string value{trim(item.substr(eq + 1))};
-      CAWO_REQUIRE(!key.empty() && !value.empty(),
-                   where + ": expected key=value, got \"" + item + "\"");
-      // First-match lookup + silent duplicates would run a different
-      // experiment than the one the user believes they wrote.
-      CAWO_REQUIRE(!spec.hasParam(key),
-                   where + ": duplicate parameter \"" + key + "\"");
-      spec.params.push_back({key, value});
-    }
+  const std::string where = "spec \"" + text + "\"";
+  const std::vector<std::string> tokens =
+      split(text.substr(plus + std::strlen(kNoiseMarker)), ',');
+  spec.hasNoise = true;
+  spec.noise = parseDoubleStrict(where + ": noise amplitude",
+                                 std::string{trim(tokens.front())});
+  CAWO_REQUIRE(spec.noise >= 0.0 && spec.noise < 1.0,
+               where + ": noise amplitude must be in [0, 1)");
+  for (std::size_t i = 1; i < tokens.size(); ++i) {
+    const std::string token{trim(tokens[i])};
+    CAWO_REQUIRE(startsWith(token, "seed="),
+                 where + ": unknown noise-modifier token \"" + token +
+                     "\" (expected seed=N)");
+    CAWO_REQUIRE(!spec.hasNoiseSeed,
+                 where + ": duplicate seed= in the noise modifier");
+    spec.hasNoiseSeed = true;
+    spec.noiseSeed = parseUint64Strict(where + ": noise seed", token.substr(5));
   }
-  CAWO_REQUIRE(!spec.source.empty(), where + ": missing source name");
   return spec;
 }
 
 std::string ProfileSpec::canonical() const {
-  std::string out = source;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    out += (i == 0 ? ":" : ",");
-    out += params[i].key.empty() ? params[i].value
-                                 : params[i].key + "=" + params[i].value;
-  }
+  std::string out = Spec::canonical();
   if (hasNoise) {
     out += kNoiseMarker + shortestDouble(noise);
     if (hasNoiseSeed) out += ",seed=" + std::to_string(noiseSeed);
@@ -114,38 +67,9 @@ std::string ProfileSpec::canonical() const {
   return out;
 }
 
-bool ProfileSpec::hasParam(const std::string& key) const {
-  for (const ProfileParam& p : params)
-    if (p.key == key) return true;
-  return false;
-}
-
-std::string ProfileSpec::param(const std::string& key,
-                               const std::string& fallback) const {
-  for (const ProfileParam& p : params)
-    if (p.key == key) return p.value;
-  return fallback;
-}
-
-double ProfileSpec::paramDouble(const std::string& key,
-                                double fallback) const {
-  if (!hasParam(key)) return fallback;
-  return parseDoubleStrict(
-      "profile spec \"" + text + "\": parameter \"" + key + "\"",
-      param(key, ""));
-}
-
-std::int64_t ProfileSpec::paramInt(const std::string& key,
-                                   std::int64_t fallback) const {
-  if (!hasParam(key)) return fallback;
-  return parseInt64Strict(
-      "profile spec \"" + text + "\": parameter \"" + key + "\"",
-      param(key, ""));
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
+ProfileSourceRegistry::ProfileSourceRegistry()
+    : SpecRegistry("profile source",
+                   "; each optionally followed by +noise=A[,seed=N]") {}
 
 ProfileSourceRegistry& ProfileSourceRegistry::global() {
   static ProfileSourceRegistry* instance = [] {
@@ -156,76 +80,18 @@ ProfileSourceRegistry& ProfileSourceRegistry::global() {
   return *instance;
 }
 
-void ProfileSourceRegistry::registerSource(ProfileSourceInfo info,
-                                           Generator generator) {
-  CAWO_REQUIRE(!info.name.empty(), "profile source name must not be empty");
-  CAWO_REQUIRE(info.name.find(':') == std::string::npos &&
-                   info.name.find(',') == std::string::npos &&
-                   info.name.find('+') == std::string::npos &&
-                   info.name.find('=') == std::string::npos,
-               "profile source name \"" + info.name +
-                   "\" must not contain spec syntax characters (:,+=)");
-  CAWO_REQUIRE(find(info.name) == nullptr,
-               "duplicate profile source \"" + info.name + "\"");
-  CAWO_REQUIRE(generator != nullptr,
-               "profile source \"" + info.name + "\" has no generator");
-  entries_.push_back({std::move(info), std::move(generator)});
-}
-
-const ProfileSourceRegistry::Entry* ProfileSourceRegistry::find(
-    const std::string& source) const {
-  for (const Entry& e : entries_)
-    if (e.info.name == source) return &e;
-  return nullptr;
-}
-
-bool ProfileSourceRegistry::contains(const std::string& source) const {
-  return find(source) != nullptr;
-}
-
-std::vector<std::string> ProfileSourceRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.info.name);
-  return out;
-}
-
-const ProfileSourceInfo& ProfileSourceRegistry::info(
-    const std::string& source) const {
-  const Entry* entry = find(source);
-  CAWO_REQUIRE(entry != nullptr, "unknown profile source \"" + source +
-                                     "\" (registered: " + syntaxSummary() +
-                                     ")");
-  return entry->info;
-}
-
-std::string ProfileSourceRegistry::syntaxSummary() const {
-  std::string out;
-  for (const Entry& e : entries_) {
-    if (!out.empty()) out += ", ";
-    out += e.info.syntax;
-  }
-  return out + "; each optionally followed by +noise=A[,seed=N]";
-}
-
 ProfileSpec ProfileSourceRegistry::resolve(const std::string& specText) const {
-  const ProfileSpec spec = ProfileSpec::parse(specText);
-  CAWO_REQUIRE(contains(spec.source),
-               "unknown scenario \"" + spec.source + "\" in profile spec \"" +
-                   spec.text + "\" — registered sources: " + syntaxSummary());
+  ProfileSpec spec = ProfileSpec::parse(specText);
+  (void)factory(spec);
   return spec;
 }
 
 PowerProfile ProfileSourceRegistry::generate(
     const ProfileSpec& spec, const ProfileRequest& request) const {
   CAWO_REQUIRE(request.horizon > 0, "profile horizon must be positive");
-  const Entry* entry = find(spec.source);
-  CAWO_REQUIRE(entry != nullptr, "unknown profile source \"" + spec.source +
-                                     "\" (registered: " + syntaxSummary() +
-                                     ")");
-  PowerProfile profile = entry->generator(spec, request);
+  PowerProfile profile = factory(spec)(spec, request);
   CAWO_ASSERT(profile.horizon() == request.horizon,
-              "profile source \"" + spec.source +
+              "profile source \"" + spec.name +
                   "\" produced a profile of horizon " +
                   std::to_string(profile.horizon()) +
                   " instead of the requested " +
@@ -258,37 +124,18 @@ ProfilePair generateForecastActualPair(const std::string& specText,
   return pair;
 }
 
+void requireForecastWithoutNoise(const std::string& forecastSpec,
+                                 const std::string& actualSpec) {
+  CAWO_REQUIRE(actualSpec.empty() || !ProfileSpec::parse(forecastSpec).hasNoise,
+               "the forecast spec \"" + forecastSpec +
+                   "\" carries a +noise modifier (read as forecast error) "
+                   "AND an explicit actual \"" + actualSpec +
+                   "\" was given — drop one of the two");
+}
+
 const std::vector<std::string>& paperScenarioNames() {
   static const std::vector<std::string> names{"S1", "S2", "S3", "S4"};
   return names;
-}
-
-std::vector<std::string> splitSpecList(const std::string& value) {
-  // A fragment continues the previous spec when its first '=' comes before
-  // any ':' or '+': "amp=0.5" and "seed=2" are parameters, while
-  // "sine:period=24" and "duck+noise=0.2" start a new spec.
-  const auto isContinuation = [](const std::string& item) {
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) return false;
-    const std::size_t colon = item.find(':');
-    const std::size_t plus = item.find('+');
-    return (colon == std::string::npos || eq < colon) &&
-           (plus == std::string::npos || eq < plus);
-  };
-  std::vector<std::string> items;
-  for (const std::string& part : split(value, ',')) {
-    const std::string item{trim(part)};
-    if (item.empty()) continue;
-    if (isContinuation(item)) {
-      CAWO_REQUIRE(!items.empty(),
-                   "scenario list starts with the parameter fragment \"" +
-                       item + "\" — parameters belong after a source name");
-      items.back() += "," + item;
-    } else {
-      items.push_back(item);
-    }
-  }
-  return items;
 }
 
 // ---------------------------------------------------------------------------
@@ -296,35 +143,6 @@ std::vector<std::string> splitSpecList(const std::string& value) {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// Reject parameters the source does not understand, so a typo like
-/// "constant:lvel=0.6" fails loudly instead of silently using the default.
-void checkParams(const ProfileSpec& spec,
-                 std::initializer_list<const char*> allowed,
-                 bool allowPositional = false) {
-  for (const ProfileParam& p : spec.params) {
-    if (p.key.empty()) {
-      CAWO_REQUIRE(allowPositional,
-                   "profile spec \"" + spec.text +
-                       "\": source \"" + spec.source +
-                       "\" takes no positional parameter");
-      continue;
-    }
-    bool known = false;
-    for (const char* a : allowed)
-      if (p.key == a) known = true;
-    std::string list;
-    for (const char* a : allowed) {
-      if (!list.empty()) list += ", ";
-      list += a;
-    }
-    CAWO_REQUIRE(known, "profile spec \"" + spec.text +
-                            "\": unknown parameter \"" + p.key +
-                            "\" for source \"" + spec.source +
-                            "\" (known: " +
-                            (list.empty() ? "none" : list) + ")");
-  }
-}
 
 /// Noise options for the paper scenarios: Section 6.1 perturbation by
 /// default, overridden by an explicit "+noise" modifier.
@@ -348,7 +166,7 @@ ScenarioOptions shapeNoise(const ProfileSpec& spec,
 
 PowerProfile constantSource(const ProfileSpec& spec,
                             const ProfileRequest& req) {
-  checkParams(spec, {"level"});
+  spec.requireKnownParams({"level"});
   const double level = spec.paramDouble("level", 0.5);
   CAWO_REQUIRE(level >= 0.0 && level <= 1.0,
                "profile spec \"" + spec.text +
@@ -358,7 +176,7 @@ PowerProfile constantSource(const ProfileSpec& spec,
 }
 
 PowerProfile sineSource(const ProfileSpec& spec, const ProfileRequest& req) {
-  checkParams(spec, {"period", "amp", "phase", "mid"});
+  spec.requireKnownParams({"period", "amp", "phase", "mid"});
   // Period and phase are measured in profile intervals, so with the
   // default 24 intervals "period=24,phase=6" reads as a 24 h day starting
   // six hours in — matching how the paper treats the horizon.
@@ -384,7 +202,7 @@ PowerProfile sineSource(const ProfileSpec& spec, const ProfileRequest& req) {
 }
 
 PowerProfile rampSource(const ProfileSpec& spec, const ProfileRequest& req) {
-  checkParams(spec, {"from", "to"});
+  spec.requireKnownParams({"from", "to"});
   const double from = spec.paramDouble("from", 0.0);
   const double to = spec.paramDouble("to", 1.0);
   CAWO_REQUIRE(from >= 0.0 && from <= 1.0 && to >= 0.0 && to <= 1.0,
@@ -407,16 +225,16 @@ double duckShape(double x) {
 }
 
 PowerProfile duckSource(const ProfileSpec& spec, const ProfileRequest& req) {
-  checkParams(spec, {});
+  spec.requireKnownParams({});
   return profileFromShape(duckShape, req.horizon, req.sumIdle, req.sumWork,
                           shapeNoise(spec, req));
 }
 
 PowerProfile traceSource(const ProfileSpec& spec, const ProfileRequest& req) {
-  checkParams(spec, {"path", "repeat", "scale", "normalize"},
-              /*allowPositional=*/true);
+  spec.requireKnownParams({"path", "repeat", "scale", "normalize"},
+                          /*allowBare=*/true);
   std::string path = spec.param("path", "");
-  for (const ProfileParam& p : spec.params)
+  for (const SpecParam& p : spec.params)
     if (p.key.empty()) {
       CAWO_REQUIRE(path.empty(), "profile spec \"" + spec.text +
                                      "\": both a positional path and "
@@ -530,32 +348,32 @@ void registerBuiltinProfileSources(ProfileSourceRegistry& registry) {
                       "constant — storage/nuclear supply (paper)"}}) {
     const std::string name = scenarioName(ps.scenario);
     const Scenario scenario = ps.scenario;
-    registry.registerSource(
+    registry.registerFactory(
         {name, name, ps.description},
         [scenario](const ProfileSpec& spec, const ProfileRequest& req) {
-          checkParams(spec, {});
+          spec.requireKnownParams({});
           return generateScenario(scenario, req.horizon, req.sumIdle,
                                   req.sumWork, legacyNoise(spec, req));
         });
   }
-  registry.registerSource(
+  registry.registerFactory(
       {"constant", "constant:level=L",
        "flat supply at fraction L of the power band (default 0.5)"},
       constantSource);
-  registry.registerSource(
+  registry.registerFactory(
       {"sine", "sine:period=P,amp=A,phase=F,mid=M",
        "diurnal sine; period/phase in profile intervals (defaults: one "
        "full cycle, amp 0.5)"},
       sineSource);
-  registry.registerSource(
+  registry.registerFactory(
       {"ramp", "ramp:from=A,to=B",
        "linear supply ramp across the horizon (defaults 0 → 1)"},
       rampSource);
-  registry.registerSource(
+  registry.registerFactory(
       {"duck", "duck",
        "stylised duck-curve availability: solar belly, evening trough"},
       duckSource);
-  registry.registerSource(
+  registry.registerFactory(
       {"trace", "trace:file.csv[,repeat=1][,scale=X|normalize=1]",
        "measured grid/PV trace from a profile CSV (see docs/formats.md)"},
       traceSource);

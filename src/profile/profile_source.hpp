@@ -3,10 +3,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/power_profile.hpp"
+#include "util/spec.hpp"
 #include "util/types.hpp"
 
 /// \file profile_source.hpp
@@ -31,47 +31,30 @@
 /// behaviour is bit-identical; every other source is deterministic unless
 /// a `+noise` modifier is given.
 ///
-/// The `ProfileSourceRegistry` mirrors `SolverRegistry`: built-in sources
-/// self-register on first use, new sources plug in through
-/// `ProfileSourceRegistry::global().registerSource`, and everything that
+/// The `ProfileSourceRegistry` is a `SpecRegistry` (util/spec.hpp), like
+/// `ReschedulePolicyRegistry`: built-in sources self-register on first
+/// use, new sources plug in through
+/// `ProfileSourceRegistry::global().registerFactory`, and everything that
 /// used to accept a scenario name — the campaign axis, the CLI, the bench
 /// binaries — now accepts any registered spec. Grammar reference:
 /// docs/formats.md.
 
 namespace cawo {
 
-/// One `key=value` parameter of a profile spec; a bare value (e.g. the
-/// CSV path in `trace:grid.csv`) is stored with an empty key.
-struct ProfileParam {
-  std::string key;
-  std::string value;
-};
-
-/// A parsed profile spec: `source[:param,...][+noise=A[,seed=N]]`.
-struct ProfileSpec {
-  std::string source;                ///< registered source name
-  std::vector<ProfileParam> params;  ///< in spec order, values verbatim
-  bool hasNoise = false;             ///< a `+noise` modifier was given
-  double noise = 0.0;                ///< modifier amplitude, in [0, 1)
-  bool hasNoiseSeed = false;         ///< the modifier carried `seed=N`
+/// A parsed profile spec: a `Spec` plus the `+noise=A[,seed=N]` modifier.
+struct ProfileSpec : Spec {
+  bool hasNoise = false;     ///< a `+noise` modifier was given
+  double noise = 0.0;        ///< modifier amplitude, in [0, 1)
+  bool hasNoiseSeed = false; ///< the modifier carried `seed=N`
   std::uint64_t noiseSeed = 0;
-  std::string text;                  ///< the spec string, verbatim
 
-  /// Parse a spec string; throws PreconditionError on malformed input
-  /// (empty spec, dangling ':', parameter without a value, bad modifier).
-  /// Parsing does not check that the source is registered — use
-  /// `ProfileSourceRegistry::resolve` for that.
+  /// Parse `name[:param,...][+noise=A[,seed=N]]`; throws PreconditionError
+  /// on malformed input. Use `ProfileSourceRegistry::resolve` to also
+  /// check that the source is registered.
   static ProfileSpec parse(const std::string& specText);
 
-  /// Reassemble the spec string from the parsed parts. Parsing the result
-  /// yields the same spec (round-trip identity).
+  /// Reassemble the spec string, modifier included (round-trip identity).
   std::string canonical() const;
-
-  bool hasParam(const std::string& key) const;
-  std::string param(const std::string& key,
-                    const std::string& fallback) const;
-  double paramDouble(const std::string& key, double fallback) const;
-  std::int64_t paramInt(const std::string& key, std::int64_t fallback) const;
 };
 
 /// Everything a source needs to materialise a profile for one instance.
@@ -85,37 +68,21 @@ struct ProfileRequest {
   std::uint64_t seed = 7;    ///< noise seed when the spec names none
 };
 
-/// Listing metadata for `--list-scenarios` and error messages.
-struct ProfileSourceInfo {
-  std::string name;        ///< registered source name
-  std::string syntax;      ///< spec syntax, e.g. "sine:period=P,amp=A,..."
-  std::string description; ///< one-line human description
-};
+/// A generator receives the parsed spec (for its parameters and noise
+/// modifier) and the request, and returns a profile covering exactly
+/// [0, request.horizon).
+using ProfileGenerator =
+    std::function<PowerProfile(const ProfileSpec&, const ProfileRequest&)>;
 
 /// Name → generator registry over every power-profile source.
-class ProfileSourceRegistry {
+class ProfileSourceRegistry : public SpecRegistry<ProfileGenerator> {
 public:
-  /// A generator receives the parsed spec (for its parameters and noise
-  /// modifier) and the request, and returns a profile covering exactly
-  /// [0, request.horizon).
-  using Generator =
-      std::function<PowerProfile(const ProfileSpec&, const ProfileRequest&)>;
+  ProfileSourceRegistry();
 
   /// The process-wide registry, with the built-in sources pre-registered:
   /// the paper scenarios S1–S4, "constant", "sine", "ramp", "duck" and
   /// "trace".
   static ProfileSourceRegistry& global();
-
-  /// Register a source. Throws PreconditionError on duplicate names.
-  void registerSource(ProfileSourceInfo info, Generator generator);
-
-  bool contains(const std::string& source) const;
-
-  /// All registered source names, in registration (canonical) order.
-  std::vector<std::string> names() const;
-
-  /// Listing metadata for a registered source; throws for unknown names.
-  const ProfileSourceInfo& info(const std::string& source) const;
 
   /// Parse `specText` and check its source is registered. Throws
   /// PreconditionError listing every registered source and its syntax.
@@ -124,23 +91,6 @@ public:
   /// Generate the profile for an (already resolved) spec.
   PowerProfile generate(const ProfileSpec& spec,
                         const ProfileRequest& request) const;
-
-  /// One-line enumeration of registered specs and syntax, used in error
-  /// messages ("S1, S2, S3, S4, constant:level=L, ...").
-  std::string syntaxSummary() const;
-
-  ProfileSourceRegistry() = default;
-  ProfileSourceRegistry(const ProfileSourceRegistry&) = delete;
-  ProfileSourceRegistry& operator=(const ProfileSourceRegistry&) = delete;
-
-private:
-  struct Entry {
-    ProfileSourceInfo info;
-    Generator generator;
-  };
-  const Entry* find(const std::string& source) const;
-
-  std::vector<Entry> entries_; // registration order == listing order
 };
 
 /// Resolve `specText` against the global registry and generate the
@@ -163,16 +113,15 @@ struct ProfilePair {
 ProfilePair generateForecastActualPair(const std::string& specText,
                                        const ProfileRequest& request);
 
+/// Throw unless `actualSpec` is empty or `forecastSpec` has no `+noise`
+/// modifier: the modifier *is* the forecast error, so with an explicit
+/// actual it would silently change what the solver plans against.
+void requireForecastWithoutNoise(const std::string& forecastSpec,
+                                 const std::string& actualSpec);
+
 /// The paper's four scenario names, in canonical order. The campaign key
 /// `scenarios=all` expands to exactly this list.
 const std::vector<std::string>& paperScenarioNames();
-
-/// Split a comma-separated scenario-axis value into individual specs.
-/// Commas also separate parameters *inside* a spec, so fragments that
-/// contain '=' or start with '+' are glued onto the preceding spec:
-/// "S1,sine:period=24,amp=0.5,duck" → {"S1", "sine:period=24,amp=0.5",
-/// "duck"}. Bare source names never contain '='.
-std::vector<std::string> splitSpecList(const std::string& value);
 
 /// Register the built-in sources into `registry` (called once by
 /// `global()`).

@@ -29,42 +29,42 @@ Listing algoListing() {
   return listing;
 }
 
-Listing scenarioListing() {
-  const ProfileSourceRegistry& registry = ProfileSourceRegistry::global();
+namespace {
+
+/// The listing of one spec registry: a name/syntax/description table and
+/// a usage hint.
+template <class Factory>
+Listing specListing(const SpecRegistry<Factory>& registry,
+                    const std::string& column, const std::string& hint) {
   Listing listing;
   listing.names = registry.names();
   std::ostringstream out;
-  TextTable table({"source", "spec syntax", "description"});
+  TextTable table({column, "spec syntax", "description"});
   for (const std::string& name : listing.names) {
-    const ProfileSourceInfo& meta = registry.info(name);
+    const SpecInfo& meta = registry.info(name);
     table.addRow({meta.name, meta.syntax, meta.description});
   }
   table.print(out);
-  out << "\npass any spec via --scenario (single run) or "
-         "--scenarios (campaign axis);\nappend "
-         "\"+noise=A[,seed=N]\" for multiplicative forecast error. "
-         "Grammar: docs/formats.md.\n";
+  out << hint;
   listing.text = out.str();
   return listing;
 }
 
+} // namespace
+
+Listing scenarioListing() {
+  return specListing(ProfileSourceRegistry::global(), "source",
+                     "\npass any spec via --scenario (single run) or "
+                     "--scenarios (campaign axis);\nappend "
+                     "\"+noise=A[,seed=N]\" for multiplicative forecast "
+                     "error. Grammar: docs/formats.md.\n");
+}
+
 Listing policyListing() {
-  const ReschedulePolicyRegistry& registry =
-      ReschedulePolicyRegistry::global();
-  Listing listing;
-  listing.names = registry.names();
-  std::ostringstream out;
-  TextTable table({"policy", "spec syntax", "description"});
-  for (const std::string& name : listing.names) {
-    const PolicyInfo& meta = registry.info(name);
-    table.addRow({meta.name, meta.syntax, meta.description});
-  }
-  table.print(out);
-  out << "\npass one or more specs via --policy "
-         "(e.g. --policy=static,periodic:every=4,"
-         "reactive:threshold=0.15).\n";
-  listing.text = out.str();
-  return listing;
+  return specListing(ReschedulePolicyRegistry::global(), "policy",
+                     "\npass one or more specs via --policy "
+                     "(e.g. --policy=static,periodic:every=4,"
+                     "reactive:threshold=0.15).\n");
 }
 
 Listing listingFor(const std::string& what) {

@@ -217,7 +217,7 @@ void ServeServer::submitLine(const std::string& line, Responder respond) {
   if (!queued) {
     respondError(respond, request.id, kindName, "queue_full",
                  "admission queue is at capacity (" +
-                     std::to_string(options_.queueCapacity) +
+                     std::to_string(pool_.capacity()) +
                      " pending jobs) — retry later");
   }
 }
@@ -258,7 +258,7 @@ ServeStats ServeServer::stats() const {
     s.queueWaitBuckets = queueWait_.bucketCounts();
   }
   s.queueDepth = pool_.queueDepth();
-  s.queueCapacity = options_.queueCapacity;
+  s.queueCapacity = pool_.capacity();
   s.workers = pool_.threads();
   s.busy = pool_.busy();
   s.cache = cache_.counters();

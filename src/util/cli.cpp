@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/strings.hpp"
 
@@ -96,6 +97,10 @@ unsigned threadsFromArgs(const CliArgs& args, const std::string& name,
     throw UsageError("flag --" + name +
                      " must be >= 0 (0 = all hardware threads), got " +
                      std::to_string(value));
+  if (value > std::numeric_limits<unsigned>::max())
+    throw UsageError("flag --" + name + " must be <= " +
+                     std::to_string(std::numeric_limits<unsigned>::max()) +
+                     ", got " + std::to_string(value));
   return static_cast<unsigned>(value);
 }
 

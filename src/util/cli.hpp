@@ -51,8 +51,8 @@ private:
 
 /// Parse a `--threads`-style flag with the repo-wide convention: 0 means
 /// "hardware concurrency", a positive value is an explicit worker count,
-/// and a negative value is a UsageError — the unsigned plumbing
-/// downstream would otherwise wrap it into an absurd thread count.
+/// and a negative value or one above UINT_MAX is a UsageError — the
+/// unsigned plumbing downstream would otherwise wrap or narrow it.
 /// Returns `fallback` when the flag is absent.
 unsigned threadsFromArgs(const CliArgs& args, const std::string& name,
                          unsigned fallback);

@@ -141,6 +141,9 @@ public:
 
   unsigned threads() const { return threadCount_; }
 
+  /// The enforced queue bound: the requested capacity, at least 1.
+  std::size_t capacity() const { return capacity_; }
+
   /// Jobs currently waiting in the queue (excludes running jobs).
   std::size_t queueDepth() const {
     const std::scoped_lock lock(mutex_);

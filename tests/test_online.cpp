@@ -53,21 +53,21 @@ InstanceSpec smokeSpec(const std::string& scenario = "S1",
 // ---------------------------------------------------------------------------
 
 TEST(PolicySpec, ParsesBareAndParameterisedSpecs) {
-  const PolicySpec bare = PolicySpec::parse("static");
+  const Spec bare = Spec::parse("static");
   EXPECT_EQ(bare.name, "static");
   EXPECT_TRUE(bare.params.empty());
 
-  const PolicySpec parameterised =
-      PolicySpec::parse("periodic:every=4");
+  const Spec parameterised = Spec::parse("periodic:every=4");
   EXPECT_EQ(parameterised.name, "periodic");
   EXPECT_EQ(parameterised.paramInt("every", -1), 4);
 }
 
 TEST(PolicySpec, RejectsMalformedSpecs) {
-  EXPECT_THROW(PolicySpec::parse(""), PreconditionError);
-  EXPECT_THROW(PolicySpec::parse("periodic:"), PreconditionError);
-  EXPECT_THROW(PolicySpec::parse("periodic:every"), PreconditionError);
-  EXPECT_THROW(PolicySpec::parse("periodic:every=4,every=5"),
+  EXPECT_THROW(Spec::parse(""), PreconditionError);
+  EXPECT_THROW(Spec::parse("periodic:"), PreconditionError);
+  EXPECT_THROW(Spec::parse("periodic:every=4,every=5"), PreconditionError);
+  // A bare value is grammar (trace paths use it); no policy takes one.
+  EXPECT_THROW(ReschedulePolicyRegistry::global().resolve("periodic:every"),
                PreconditionError);
 }
 
@@ -81,6 +81,25 @@ TEST(PolicyRegistry, ListsBuiltinsAndRejectsUnknown) {
   EXPECT_THROW(registry.resolve("periodic:evrey=4"), PreconditionError);
   EXPECT_THROW(registry.resolve("periodic:every=0"), PreconditionError);
   EXPECT_THROW(registry.resolve("reactive:threshold=-1"), PreconditionError);
+  // Names are free of spec syntax on every axis, '+' included.
+  ReschedulePolicyRegistry local;
+  const PolicyFactory none = [](const Spec&) -> PolicyPtr { return nullptr; };
+  EXPECT_THROW(local.registerFactory({"every+1", "x", "x"}, none),
+               PreconditionError);
+  // Non-finite numbers are no thresholds: inf would never fire.
+  for (const char* spec : {"reactive:threshold=inf", "reactive:threshold=nan",
+                           "reactive:threshold=-inf",
+                           "reactive:threshold=1e999"}) {
+    try {
+      (void)registry.resolve(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const PreconditionError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(spec), std::string::npos) << message;
+      EXPECT_NE(message.find("parameter \"threshold\""), std::string::npos)
+          << message;
+    }
+  }
 }
 
 TEST(PolicyRegistry, BuiltinTriggersFire) {

@@ -52,7 +52,7 @@ std::string writeTempTrace(const std::string& name,
 
 TEST(ProfileSpec, ParsesBareSourceNames) {
   const ProfileSpec spec = ProfileSpec::parse("S1");
-  EXPECT_EQ(spec.source, "S1");
+  EXPECT_EQ(spec.name, "S1");
   EXPECT_TRUE(spec.params.empty());
   EXPECT_FALSE(spec.hasNoise);
   EXPECT_EQ(spec.text, "S1");
@@ -61,7 +61,7 @@ TEST(ProfileSpec, ParsesBareSourceNames) {
 TEST(ProfileSpec, ParsesParametersAndPositionals) {
   const ProfileSpec sine =
       ProfileSpec::parse("sine:period=24,amp=0.5,phase=6");
-  EXPECT_EQ(sine.source, "sine");
+  EXPECT_EQ(sine.name, "sine");
   ASSERT_EQ(sine.params.size(), 3u);
   EXPECT_EQ(sine.param("period", ""), "24");
   EXPECT_DOUBLE_EQ(sine.paramDouble("amp", 0.0), 0.5);
@@ -71,7 +71,7 @@ TEST(ProfileSpec, ParsesParametersAndPositionals) {
 
   const ProfileSpec trace =
       ProfileSpec::parse("trace:examples/grid_trace.csv,repeat=1");
-  EXPECT_EQ(trace.source, "trace");
+  EXPECT_EQ(trace.name, "trace");
   ASSERT_EQ(trace.params.size(), 2u);
   EXPECT_EQ(trace.params[0].key, "");
   EXPECT_EQ(trace.params[0].value, "examples/grid_trace.csv");
@@ -80,14 +80,14 @@ TEST(ProfileSpec, ParsesParametersAndPositionals) {
 
 TEST(ProfileSpec, ParsesNoiseModifier) {
   const ProfileSpec plain = ProfileSpec::parse("duck+noise=0.2");
-  EXPECT_EQ(plain.source, "duck");
+  EXPECT_EQ(plain.name, "duck");
   EXPECT_TRUE(plain.hasNoise);
   EXPECT_DOUBLE_EQ(plain.noise, 0.2);
   EXPECT_FALSE(plain.hasNoiseSeed);
 
   const ProfileSpec seeded =
       ProfileSpec::parse("ramp:from=0.2,to=0.9+noise=0.1,seed=77");
-  EXPECT_EQ(seeded.source, "ramp");
+  EXPECT_EQ(seeded.name, "ramp");
   ASSERT_EQ(seeded.params.size(), 2u);
   EXPECT_DOUBLE_EQ(seeded.paramDouble("to", 0.0), 0.9);
   EXPECT_TRUE(seeded.hasNoise);
@@ -104,7 +104,7 @@ TEST(ProfileSpec, CanonicalRoundTrips) {
         "duck+noise=0.1", "duck+noise=0.123456789"}) {
     const ProfileSpec spec = ProfileSpec::parse(text);
     const ProfileSpec again = ProfileSpec::parse(spec.canonical());
-    EXPECT_EQ(again.source, spec.source) << text;
+    EXPECT_EQ(again.name, spec.name) << text;
     ASSERT_EQ(again.params.size(), spec.params.size()) << text;
     for (std::size_t i = 0; i < spec.params.size(); ++i) {
       EXPECT_EQ(again.params[i].key, spec.params[i].key) << text;
@@ -114,6 +114,20 @@ TEST(ProfileSpec, CanonicalRoundTrips) {
     EXPECT_DOUBLE_EQ(again.noise, spec.noise) << text;
     EXPECT_EQ(again.hasNoiseSeed, spec.hasNoiseSeed) << text;
     EXPECT_EQ(again.noiseSeed, spec.noiseSeed) << text;
+  }
+  // Policy specs share the grammar, so they round-trip through Spec.
+  for (const char* text :
+       {"static", "periodic:every=4", "reactive:threshold=0.15",
+        " periodic : every = 2 ", "periodic:every"}) {
+    const Spec spec = Spec::parse(text);
+    const Spec again = Spec::parse(spec.canonical());
+    EXPECT_EQ(again.name, spec.name) << text;
+    ASSERT_EQ(again.params.size(), spec.params.size()) << text;
+    for (std::size_t i = 0; i < spec.params.size(); ++i) {
+      EXPECT_EQ(again.params[i].key, spec.params[i].key) << text;
+      EXPECT_EQ(again.params[i].value, spec.params[i].value) << text;
+    }
+    EXPECT_EQ(again.canonical(), spec.canonical()) << text;
   }
 }
 
@@ -194,19 +208,19 @@ TEST(ProfileSourceRegistry, RejectsDuplicateAndMalformedRegistrations) {
   const auto gen = [](const ProfileSpec&, const ProfileRequest& req) {
     return PowerProfile::uniform(req.horizon, 1);
   };
-  registry.registerSource({"mine", "mine", "test"}, gen);
-  EXPECT_THROW(registry.registerSource({"mine", "mine", "again"}, gen),
+  registry.registerFactory({"mine", "mine", "test"}, gen);
+  EXPECT_THROW(registry.registerFactory({"mine", "mine", "again"}, gen),
                PreconditionError);
-  EXPECT_THROW(registry.registerSource({"", "x", "x"}, gen),
+  EXPECT_THROW(registry.registerFactory({"", "x", "x"}, gen),
                PreconditionError);
-  EXPECT_THROW(registry.registerSource({"a:b", "x", "x"}, gen),
+  EXPECT_THROW(registry.registerFactory({"a:b", "x", "x"}, gen),
                PreconditionError);
   EXPECT_EQ(registry.names(), (std::vector<std::string>{"mine"}));
 }
 
 TEST(ProfileSourceRegistry, GeneratorsMustCoverTheHorizonExactly) {
   ProfileSourceRegistry registry;
-  registry.registerSource(
+  registry.registerFactory(
       {"short", "short", "covers half the horizon"},
       [](const ProfileSpec&, const ProfileRequest& req) {
         return PowerProfile::uniform(req.horizon / 2, 1);
@@ -224,7 +238,22 @@ TEST(ProfileSourceRegistry, UnknownParametersAreRejectedPerSource) {
   EXPECT_THROW((void)generateProfile("duck:period=3", testRequest()),
                PreconditionError);
   EXPECT_THROW((void)generateProfile("constant:0.5", testRequest()),
-               PreconditionError); // positional only for trace
+               PreconditionError); // bare values only for trace
+  // Non-finite numbers would clamp every interval to the band floor.
+  for (const char* spec :
+       {"sine:phase=nan", "sine:phase=inf", "sine:period=-inf",
+        "constant:level=nan", "ramp:from=nan", "sine:amp=1e999",
+        "trace:x.csv,scale=inf"}) {
+    try {
+      (void)generateProfile(spec, testRequest());
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const PreconditionError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(spec), std::string::npos) << message;
+      EXPECT_NE(message.find("is not a finite number"), std::string::npos)
+          << message;
+    }
+  }
 }
 
 // `scenarioFromName` stays the closed-enum accessor, but its error now

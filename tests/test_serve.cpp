@@ -294,6 +294,17 @@ TEST(ServeServer, MalformedInputYieldsErrorResponsesNotCrashes) {
   EXPECT_EQ(
       errorOf("{\"kind\":\"replay\",\"policy\":\"no-such-policy\"}"),
       "bad_request");
+  EXPECT_EQ(
+      errorOf("{\"kind\":\"replay\",\"policy\":\"periodic:every\"}"),
+      "bad_request");
+  // Spec numbers must be finite: a NaN phase would bill everything brown.
+  const JsonValue nanActual = submitParsed(
+      server, "{\"kind\":\"replay\",\"actual\":\"sine:phase=nan\"}");
+  EXPECT_EQ(nanActual.at("error").asString(), "bad_request");
+  EXPECT_NE(nanActual.at("message").asString().find(
+                "spec \"sine:phase=nan\": parameter \"phase\""),
+            std::string::npos)
+      << nanActual.at("message").asString();
   // Solver options parse strictly, and the message names the option.
   const JsonValue badOption = submitParsed(
       server, "{\"kind\":\"solve\",\"options\":{\"block-size\":\"3x\"}}");
@@ -363,42 +374,50 @@ TEST(ServeServer, ThreadsOptionIsAnIgnoredUnknownKey) {
 TEST(ServeServer, QueueFullRejectsWithBackpressure) {
   // One worker held at the gate, queue capacity 1: the first job
   // occupies the worker, the second fills the queue, the third bounces.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool open = false;
-  ServeOptions options = smallOptions();
-  options.workers = 1;
-  options.queueCapacity = 1;
-  options.workerStartHook = [&] {
-    std::unique_lock lock(mutex);
-    cv.wait(lock, [&] { return open; });
-  };
-  ServeServer server(options);
+  // A requested capacity of 0 is enforced (and reported) as 1.
+  for (const std::size_t capacity : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE("queue capacity " + std::to_string(capacity));
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = false;
+    ServeOptions options = smallOptions();
+    options.workers = 1;
+    options.queueCapacity = capacity;
+    options.workerStartHook = [&] {
+      std::unique_lock lock(mutex);
+      cv.wait(lock, [&] { return open; });
+    };
+    ServeServer server(options);
+    EXPECT_EQ(server.stats().queueCapacity, 1u);
 
-  std::vector<std::string> async(2);
-  server.submitLine(kSolveLine,
-                    [&](const std::string& r) { async[0] = r; });
-  // Wait for the worker to actually pick job 1 up (block in the hook) so
-  // job 2 deterministically lands in the queue.
-  while (server.stats().busy == 0) std::this_thread::yield();
-  server.submitLine(kSolveLine,
-                    [&](const std::string& r) { async[1] = r; });
+    std::vector<std::string> async(2);
+    server.submitLine(kSolveLine,
+                      [&](const std::string& r) { async[0] = r; });
+    // Wait for the worker to actually pick job 1 up (block in the hook) so
+    // job 2 deterministically lands in the queue.
+    while (server.stats().busy == 0) std::this_thread::yield();
+    server.submitLine(kSolveLine,
+                      [&](const std::string& r) { async[1] = r; });
 
-  const JsonValue rejected = submitParsed(server, kSolveLine);
-  expectEnvelope(rejected, "s1", "solve", false);
-  EXPECT_EQ(rejected.at("error").asString(), "queue_full");
+    const JsonValue rejected = submitParsed(server, kSolveLine);
+    expectEnvelope(rejected, "s1", "solve", false);
+    EXPECT_EQ(rejected.at("error").asString(), "queue_full");
+    EXPECT_NE(rejected.at("message").asString().find("at capacity (1 "),
+              std::string::npos)
+        << rejected.at("message").asString();
 
-  {
-    const std::scoped_lock lock(mutex);
-    open = true;
+    {
+      const std::scoped_lock lock(mutex);
+      open = true;
+    }
+    cv.notify_all();
+    server.drain();
+    for (const std::string& r : async) {
+      const JsonValue doc = JsonValue::parse(r);
+      expectEnvelope(doc, "s1", "solve", true);
+    }
+    EXPECT_EQ(server.stats().rejectedQueueFull, 1);
   }
-  cv.notify_all();
-  server.drain();
-  for (const std::string& r : async) {
-    const JsonValue doc = JsonValue::parse(r);
-    expectEnvelope(doc, "s1", "solve", true);
-  }
-  EXPECT_EQ(server.stats().rejectedQueueFull, 1);
 }
 
 TEST(ServeServer, ExpiredDeadlineTimesOutCooperatively) {

@@ -94,6 +94,18 @@ TEST(Cli, ThreadsFlagRejectsNegativeValues) {
   const char* argv[] = {"prog", "--threads=-2"};
   const CliArgs args(2, argv, {"threads"});
   EXPECT_THROW(threadsFromArgs(args, "threads", 1), PreconditionError);
+  // Above UINT_MAX the value would narrow (4294967297 to 1 worker).
+  for (const char* arg : {"--workers=4294967296", "--workers=4294967297"}) {
+    const char* wide[] = {"prog", arg};
+    const CliArgs wideArgs(2, wide, {"workers"});
+    try {
+      (void)threadsFromArgs(wideArgs, "workers", 1);
+      ADD_FAILURE() << arg << " was accepted";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("--workers"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 /// The message of the UsageError `fn` throws ("" when it throws none).

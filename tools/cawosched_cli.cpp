@@ -738,8 +738,9 @@ int runServeCommand(const CliArgs& args) {
 
   // Everything human goes to stderr — stdout is protocol bytes only.
   if (!args.has("quiet")) {
-    std::cerr << "cawosched-serve: " << server.stats().workers
-              << " workers, queue capacity " << options.queueCapacity
+    const ServeStats s = server.stats();
+    std::cerr << "cawosched-serve: " << s.workers
+              << " workers, queue capacity " << s.queueCapacity
               << ", context cache " << options.cacheCapacity << "\n";
     if (listener)
       std::cerr << "cawosched-serve: listening on 127.0.0.1:"
