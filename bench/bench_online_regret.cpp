@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
         opts.runtimeSeed = seed ^ 0x0417CEB5ULL;
         // One shared plan + clairvoyant solve per (noise, seed) row.
         std::vector<OnlineResult> results =
-            replayOnlinePolicies(inst, "", opts, policies);
+            replayOnline(inst, "", opts, policies);
         for (std::size_t p = 0; p < policies.size(); ++p) {
           BenchCell cell;
           cell.noise = noise;

@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
 
     TextTable table({"policy", "billed cost", "clairvoyant", "regret",
                      "re-solves", "deadline"});
-    for (const OnlineResult& r :
-         replayOnlinePolicies(inst, actual, opts, policies)) {
+    for (const OnlineResult& r : replayOnline(inst, actual, opts, policies)) {
       if (!r.ran) {
         std::cout << "replay failed (" << r.policy << "): " << r.error
                   << "\n";

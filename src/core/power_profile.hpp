@@ -21,6 +21,7 @@ struct Interval {
   Power green = 0;
 
   Time length() const { return end - begin; }
+  bool operator==(const Interval&) const = default;
 };
 
 class PowerProfile {

@@ -154,21 +154,9 @@ void runOnlineInstanceCell(const Instance& instance,
   CAWO_REQUIRE(!solvers.empty(), "campaign has no solvers selected");
   CAWO_REQUIRE(!spec.policies.empty(), "online campaign has no policies");
 
-  // Forecast/actual resolution, once per instance (see docs/formats.md,
-  // "Forecast vs actual").
-  const ProfileRequest preq = instanceProfileRequest(instance);
-  PowerProfile forecast;
-  PowerProfile actual;
-  if (spec.actual.empty()) {
-    ProfilePair pair =
-        generateForecastActualPair(instance.spec.scenario, preq);
-    forecast = std::move(pair.forecast);
-    actual = std::move(pair.actual);
-  } else {
-    forecast = instance.profile;
-    actual = generateProfile(spec.actual, preq);
-  }
-  const Cost lowerBound = carbonLowerBound(instance.gc, actual);
+  // Forecast/actual resolution, once per instance.
+  const ReplayProfiles profiles(instance, spec.actual);
+  const Cost lowerBound = carbonLowerBound(instance.gc, profiles.actual());
   // The hash is the *planning* instance (forecast profile) — the same
   // workflow replayed under different actuals joins on one hash.
   const std::uint64_t hash =
@@ -180,8 +168,8 @@ void runOnlineInstanceCell(const Instance& instance,
     const bool fits =
         solverFitsInstance(registry.create(solvers[s])->info(), instance);
 
-    // One shared plan + clairvoyant solve per solver row; the per-policy
-    // replays and the clairvoyant spreading live in replayOnlinePolicies.
+    // One replayOnline call per solver row: the plan and the clairvoyant
+    // reference are solved once and shared by its policy cells.
     std::vector<OnlineResult> row;
     if (fits) {
       obs::TraceScope cellSpan("campaign.cell");
@@ -194,8 +182,8 @@ void runOnlineInstanceCell(const Instance& instance,
       onlineOpts.runtimeNoise = spec.runtimeNoise;
       onlineOpts.runtimeSeed = instance.spec.seed ^ 0x0417CEB5ULL;
       onlineOpts.solverOptions = options;
-      row = replayOnlinePolicies(instance, forecast, actual, onlineOpts,
-                                 spec.policies);
+      row = replayOnline(instance, profiles.forecast(), profiles.actual(),
+                         onlineOpts, spec.policies);
     }
 
     for (std::size_t p = 0; p < P; ++p) {

@@ -15,81 +15,85 @@ namespace cawo {
 
 namespace {
 
-/// Byte-level profile equality (same interval structure and budgets) —
-/// decides whether the actual profile can share the forecast's extension
-/// in the re-mapping case.
-bool sameProfile(const PowerProfile& a, const PowerProfile& b) {
-  if (a.numIntervals() != b.numIntervals()) return false;
-  for (std::size_t j = 0; j < a.numIntervals(); ++j) {
-    const Interval& x = a.interval(j);
-    const Interval& y = b.interval(j);
-    if (x.begin != y.begin || x.end != y.end || x.green != y.green)
-      return false;
-  }
-  return true;
+/// The whole instance solved offline against `profile` — the plan (against
+/// the forecast) and the clairvoyant reference (against the actual).
+SolveResult solveOffline(const Solver& solver, const Instance& instance,
+                         const PowerProfile& profile,
+                         const SolveContext& context,
+                         const SolverOptions& options) {
+  SolveRequest request;
+  request.gc = &instance.gc;
+  request.profile = &profile;
+  request.deadline = instance.deadline;
+  request.graph = &instance.graph;
+  request.platform = &instance.platform;
+  request.context = &context;
+  request.options = options;
+  return solver.solve(request);
 }
-
-double quietNaN() { return std::numeric_limits<double>::quiet_NaN(); }
 
 } // namespace
 
-ReplayEngine::ReplayEngine(const Instance& instance,
-                           const PowerProfile& forecast,
-                           const PowerProfile& actual,
-                           const OnlineOptions& options)
+ReplayProfiles::ReplayProfiles(const Instance& instance,
+                               const std::string& actualSpec)
+    : instanceProfile_(&instance.profile) {
+  const ProfileRequest request = instanceProfileRequest(instance);
+  if (actualSpec.empty()) {
+    ProfilePair pair =
+        generateForecastActualPair(instance.spec.scenario, request);
+    pairForecast_ = std::move(pair.forecast);
+    actual_ = std::move(pair.actual);
+    return;
+  }
+  requireForecastWithoutNoise(instance.spec.scenario, actualSpec);
+  actual_ = generateProfile(actualSpec, request);
+}
+
+ReplayPlan::ReplayPlan(const Instance& instance, const PowerProfile& forecast,
+                       const PowerProfile& actual,
+                       const OnlineOptions& options,
+                       const SolveContext* context)
     : options_(options) {
+  try {
+    build(instance, forecast, actual, context);
+  } catch (const std::exception& e) {
+    error_ = e.what();
+  }
+}
+
+void ReplayPlan::build(const Instance& instance, const PowerProfile& forecast,
+                       const PowerProfile& actual,
+                       const SolveContext* context) {
   CAWO_REQUIRE(forecast.horizon() >= instance.deadline,
                "forecast profile must cover the instance deadline");
   CAWO_REQUIRE(actual.horizon() >= instance.deadline,
                "actual profile must cover the instance deadline");
 
-  policy_ = ReschedulePolicyRegistry::global().resolve(options.policy);
-
   // Offline solve against the forecast. The context is built on the
   // instance graph; a re-mapping solver ignores it and reports its own
-  // effective graph/profile/deadline, which the replay then runs under.
+  // effective graph/profile/deadline, which the replays then run under.
   const SolverRegistry& registry = SolverRegistry::global();
-  const SolverPtr planner = registry.create(options.solver);
-  if (options.sharedContext != nullptr) {
-    CAWO_REQUIRE(&options.sharedContext->gc() == &instance.gc &&
-                     &options.sharedContext->profile() == &forecast &&
-                     options.sharedContext->deadline() == instance.deadline,
-                 "OnlineOptions.sharedContext describes a different "
-                 "(graph, forecast, deadline) than the replay");
-    ctx_ = options.sharedContext;
-  } else {
-    ownedCtx_.emplace(instance.gc, forecast, instance.deadline);
-    ctx_ = &*ownedCtx_;
-  }
-  const SolveResult solved = [&] {
-    if (options.precomputedPlan != nullptr) return *options.precomputedPlan;
-    SolveRequest request;
-    request.gc = &instance.gc;
-    request.profile = &forecast;
-    request.deadline = instance.deadline;
-    request.graph = &instance.graph;
-    request.platform = &instance.platform;
-    request.context = ctx_;
-    request.options = options.solverOptions;
-    return planner->solve(request);
-  }();
-
+  const SolverPtr planner = registry.create(options_.solver);
+  if (context == nullptr)
+    context = &ownedCtx_.emplace(instance.gc, forecast, instance.deadline);
+  const SolveResult solved = solveOffline(*planner, instance, forecast,
+                                          *context, options_.solverOptions);
   solveWallMs_ = solved.wallMs;
   forecastCost_ = solved.cost;
-  planFeasible_ = solved.feasible;
-  if (!planFeasible_) {
-    planError_ = solved.validation.message.empty()
-                     ? "offline solve infeasible"
-                     : solved.validation.message;
+  deadline_ = solved.effectiveDeadline;
+  if (!solved.feasible) {
+    error_ = solved.validation.message.empty() ? "offline solve infeasible"
+                                               : solved.validation.message;
+    return;
   }
+  schedule_ = solved.schedule;
 
   // Effective problem: the instance as-is, or the re-mapped one.
   remappedGc_ = solved.remappedGc;
   forecastOwned_ = solved.extendedProfile;
   gc_ = remappedGc_ ? remappedGc_.get() : &instance.gc;
   forecast_ = forecastOwned_ ? forecastOwned_.get() : &forecast;
-  deadline_ = solved.effectiveDeadline;
-  if (sameProfile(actual, forecast)) {
+  if (std::ranges::equal(actual.intervals(), forecast.intervals())) {
     // Identical inputs share the forecast's extension, keeping the
     // actual == forecast parity bit-exact even for re-mapping solvers.
     actual_ = forecast_;
@@ -108,67 +112,80 @@ ReplayEngine::ReplayEngine(const Instance& instance,
 
   // Re-seat the context only when the effective problem differs from the
   // planning one (re-mapping solvers).
+  ctx_ = context;
   if (gc_ != &instance.gc || forecast_ != &forecast ||
-      deadline_ != instance.deadline) {
-    ownedCtx_.emplace(*gc_, *forecast_, deadline_);
-    ctx_ = &*ownedCtx_;
-  }
+      deadline_ != instance.deadline)
+    ctx_ = &ownedCtx_.emplace(*gc_, *forecast_, deadline_);
 
   // The re-solver: the planning solver itself when it is residual-capable,
   // otherwise the strongest greedy (its -LS pass is skipped on residuals
   // anyway, so "pressWR" is the natural fallback).
-  resolveSolver_ = planner->info().supportsResidual
-                       ? registry.create(options.solver)
-                       : registry.create("pressWR");
-
-  if (!planFeasible_) return;
-
-  plan_ = solved.schedule;
-  CAWO_REQUIRE(plan_.numNodes() == gc_->numNodes(),
-               "the (precomputed) plan does not match the instance's "
-               "effective graph");
-  const auto n = static_cast<std::size_t>(gc_->numNodes());
-  executed_ = Schedule(gc_->numNodes());
-  started_.assign(n, 0);
-  completed_.assign(n, 0);
-  plannedLens_.resize(n);
-  for (TaskId v = 0; v < gc_->numNodes(); ++v)
-    plannedLens_[static_cast<std::size_t>(v)] = gc_->len(v);
+  resolveSolver_ = registry.create(
+      planner->info().supportsResidual ? options_.solver : "pressWR");
 
   // Actual runtimes: one deterministic draw per non-trivial node, in node
   // order. Amplitude 0 keeps every duration exactly ω(u).
+  const auto n = static_cast<std::size_t>(gc_->numNodes());
+  plannedLens_.resize(n);
+  for (TaskId v = 0; v < gc_->numNodes(); ++v)
+    plannedLens_[static_cast<std::size_t>(v)] = gc_->len(v);
   durations_ = plannedLens_;
-  CAWO_REQUIRE(options.runtimeNoise >= 0.0 && options.runtimeNoise < 1.0,
+  const double noise = options_.runtimeNoise;
+  CAWO_REQUIRE(noise >= 0.0 && noise < 1.0,
                "runtime noise amplitude must lie in [0, 1)");
-  if (options.runtimeNoise > 0.0) {
-    Rng rng(options.runtimeSeed);
+  if (noise > 0.0) {
+    Rng rng(options_.runtimeSeed);
     for (std::size_t i = 0; i < n; ++i) {
       if (plannedLens_[i] == 0) continue;
-      const double factor =
-          1.0 + rng.uniformReal(-options.runtimeNoise, options.runtimeNoise);
+      const double factor = 1.0 + rng.uniformReal(-noise, noise);
       durations_[i] = std::max<Time>(
           1, static_cast<Time>(std::llround(
                  static_cast<double>(plannedLens_[i]) * factor)));
     }
   }
+  feasible_ = true;
 
+  // Clairvoyant reference: the same solver planning directly against the
+  // (unextended) actual profile, billed the ordinary offline way. A failed
+  // reference leaves the regret undefined; the replays still run.
+  try {
+    const SolveContext actualCtx(instance.gc, actual, instance.deadline);
+    const SolveResult reference = solveOffline(
+        *planner, instance, actual, actualCtx, options_.solverOptions);
+    clairvoyantFeasible_ = reference.feasible;
+    clairvoyantCost_ = reference.cost;
+  } catch (const std::exception&) {
+  }
+}
+
+ReplayEngine::ReplayEngine(const ReplayPlan& plan, std::string policy,
+                           PolicyPtr rule)
+    : shared_(plan), policySpec_(std::move(policy)),
+      policy_(std::move(rule)) {
+  if (!shared_.feasible_) return;
+  plan_ = shared_.schedule_;
+  const EnhancedGraph& graph = gc();
+  const auto n = static_cast<std::size_t>(graph.numNodes());
+  executed_ = Schedule(graph.numNodes());
+  started_.assign(n, 0);
+  completed_.assign(n, 0);
   predsLeft_.assign(n, 0);
-  for (TaskId v = 0; v < gc_->numNodes(); ++v) {
+  for (TaskId v = 0; v < graph.numNodes(); ++v) {
     predsLeft_[static_cast<std::size_t>(v)] =
-        static_cast<TaskId>(gc_->preds(v).size());
+        static_cast<TaskId>(graph.preds(v).size());
     if (predsLeft_[static_cast<std::size_t>(v)] == 0) ready_.push_back(v);
   }
 
-  windows_.emplace(ctx_->windowState());
+  windows_.emplace(shared_.ctx_->windowState());
   residualDurations_.resize(n);
 
   startReady();
 }
 
 std::int64_t ReplayEngine::intervalIndexAt(Time t) const {
-  if (t >= forecast_->horizon())
-    return static_cast<std::int64_t>(forecast_->numIntervals());
-  return static_cast<std::int64_t>(forecast_->indexAt(t));
+  if (t >= shared_.forecast_->horizon())
+    return static_cast<std::int64_t>(shared_.forecast_->numIntervals());
+  return static_cast<std::int64_t>(shared_.forecast_->indexAt(t));
 }
 
 void ReplayEngine::startNode(TaskId v, Time at) {
@@ -177,7 +194,7 @@ void ReplayEngine::startNode(TaskId v, Time at) {
   ++startedCount_;
   // The live pinned-prefix windows: one incremental repair per event.
   windows_->place(v, at);
-  queue_.emplace(at + durations_[static_cast<std::size_t>(v)], v);
+  queue_.emplace(at + shared_.durations_[static_cast<std::size_t>(v)], v);
 }
 
 void ReplayEngine::startReady() {
@@ -209,10 +226,10 @@ void ReplayEngine::startReady() {
 
 double ReplayEngine::windowedDeviation() {
   if (deviationCached_) return deviationValue_;
-  observedNow_ =
-      evaluateCostPrefix(*gc_, *actual_, executed_, durations_, now_);
-  plannedNow_ =
-      evaluateCostPrefix(*gc_, *forecast_, plan_, plannedLens_, now_);
+  observedNow_ = evaluateCostPrefix(gc(), *shared_.actual_, executed_,
+                                    shared_.durations_, now_);
+  plannedNow_ = evaluateCostPrefix(gc(), *shared_.forecast_, plan_,
+                                   shared_.plannedLens_, now_);
   const Cost observedDelta = observedNow_ - baselineObserved_;
   const Cost plannedDelta = plannedNow_ - baselinePlanned_;
   const Cost diff = observedDelta > plannedDelta
@@ -230,9 +247,10 @@ bool ReplayEngine::attemptResolve() {
   // Residual problem: pinned starts, effective durations (actual where
   // known, planned estimates otherwise), release at `now`, and the live
   // incrementally-maintained windows.
-  for (TaskId v = 0; v < gc_->numNodes(); ++v) {
+  for (TaskId v = 0; v < gc().numNodes(); ++v) {
     const auto i = static_cast<std::size_t>(v);
-    residualDurations_[i] = completed_[i] ? durations_[i] : plannedLens_[i];
+    residualDurations_[i] =
+        completed_[i] ? shared_.durations_[i] : shared_.plannedLens_[i];
   }
   ResidualProblem residual;
   residual.starts = &executed_;
@@ -242,14 +260,14 @@ bool ReplayEngine::attemptResolve() {
   residual.windows = &*windows_;
 
   SolveRequest request;
-  request.gc = gc_;
-  request.profile = forecast_;
-  request.deadline = deadline_;
-  request.context = ctx_;
+  request.gc = &gc();
+  request.profile = shared_.forecast_;
+  request.deadline = deadline();
+  request.context = shared_.ctx_;
   request.residual = &residual;
-  request.options = options_.solverOptions;
+  request.options = shared_.options_.solverOptions;
 
-  const SolveResult solved = resolveSolver_->solve(request);
+  const SolveResult solved = shared_.resolveSolver_->solve(request);
   // Adopt the new plan only when it is feasible AND projects no worse
   // than the incumbent over the same residual state — a re-solve with a
   // weaker residual solver (e.g. the pin-aware greedy standing in for an
@@ -266,15 +284,15 @@ bool ReplayEngine::attemptResolve() {
     // them. Clamping only to `now` would bill movable nodes in slots the
     // plan cannot actually reach (e.g. before a running predecessor's
     // estimated completion) and reject genuinely better re-solves.
-    Schedule projected(gc_->numNodes());
-    for (const TaskId v : gc_->topoOrder()) {
+    Schedule projected(gc().numNodes());
+    for (const TaskId v : gc().topoOrder()) {
       const auto i = static_cast<std::size_t>(v);
       if (started_[i]) {
         projected.setStart(v, executed_.start(v));
         continue;
       }
       Time start = std::max(plan_.start(v), now_);
-      for (const TaskId p : gc_->preds(v)) {
+      for (const TaskId p : gc().preds(v)) {
         start = std::max(start,
                          projected.start(p) +
                              residualDurations_[static_cast<std::size_t>(p)]);
@@ -282,7 +300,7 @@ bool ReplayEngine::attemptResolve() {
       projected.setStart(v, start);
     }
     const Cost incumbent = evaluateCostWithDurations(
-        *gc_, *forecast_, projected, residualDurations_);
+        gc(), *shared_.forecast_, projected, residualDurations_);
     adopt = solved.cost <= incumbent;
   }
   ResolveRecord record;
@@ -305,7 +323,7 @@ void ReplayEngine::applyPolicy() {
   deviationCached_ = false;
   PolicyEvent event;
   event.now = now_;
-  event.deadline = deadline_;
+  event.deadline = deadline();
   event.intervalsSinceResolve = intervalIndexAt(now_) - baselineInterval_;
   event.completedCount = completedCount_;
   event.startedCount = startedCount_;
@@ -321,18 +339,19 @@ void ReplayEngine::applyPolicy() {
   // (measured against the plan now in force).
   baselineInterval_ = intervalIndexAt(now_);
   if (!deviationCached_) {
-    baselineObserved_ =
-        evaluateCostPrefix(*gc_, *actual_, executed_, durations_, now_);
+    baselineObserved_ = evaluateCostPrefix(gc(), *shared_.actual_, executed_,
+                                           shared_.durations_, now_);
   } else {
     baselineObserved_ = observedNow_;
   }
-  baselinePlanned_ =
-      evaluateCostPrefix(*gc_, *forecast_, plan_, plannedLens_, now_);
+  baselinePlanned_ = evaluateCostPrefix(gc(), *shared_.forecast_, plan_,
+                                        shared_.plannedLens_, now_);
   deviationCached_ = false;
 }
 
 Time ReplayEngine::step() {
-  CAWO_REQUIRE(planFeasible_, "cannot step a replay without a feasible plan");
+  CAWO_REQUIRE(shared_.feasible_,
+               "cannot step a replay without a feasible plan");
   CAWO_REQUIRE(!finished(), "replay already finished");
   CAWO_REQUIRE(!queue_.empty(),
                "online replay stalled: no running task but unfinished nodes");
@@ -349,7 +368,7 @@ Time ReplayEngine::step() {
     completed_[i] = 1;
     ++completedCount_;
     finishTime_ = std::max(finishTime_, t);
-    for (const TaskId s : gc_->succs(v))
+    for (const TaskId s : gc().succs(v))
       if (--predsLeft_[static_cast<std::size_t>(s)] == 0)
         ready_.push_back(s);
   }
@@ -364,14 +383,14 @@ Time ReplayEngine::step() {
 
 OnlineResult ReplayEngine::run() {
   OnlineResult result;
-  result.solver = options_.solver;
-  result.policy = options_.policy;
-  result.forecastCost = forecastCost_;
-  result.solveWallMs = solveWallMs_;
-  result.deadline = deadline_;
-  result.regretRatio = quietNaN();
-  if (!planFeasible_) {
-    result.error = planError_;
+  result.solver = shared_.options_.solver;
+  result.policy = policySpec_;
+  result.forecastCost = shared_.forecastCost_;
+  result.solveWallMs = shared_.solveWallMs_;
+  result.deadline = deadline();
+  result.regretRatio = std::numeric_limits<double>::quiet_NaN();
+  if (!shared_.feasible_) {
+    result.error = shared_.error_;
     return result;
   }
 
@@ -381,165 +400,54 @@ OnlineResult ReplayEngine::run() {
   }
 
   result.ran = true;
-  result.actualCost =
-      evaluateCostWithDurations(*gc_, *actual_, executed_, durations_);
+  result.actualCost = evaluateCostWithDurations(gc(), *shared_.actual_,
+                                                executed_, shared_.durations_);
   result.finishTime = finishTime_;
-  result.deadlineMet = finishTime_ <= deadline_;
+  result.deadlineMet = finishTime_ <= deadline();
   result.resolveCount = resolves_.size();
   result.resolveAccepted = resolveAccepted_;
   result.resolves = resolves_;
   for (const ResolveRecord& r : resolves_) result.resolveWallMs += r.wallMs;
-  return result;
-}
 
-void applyClairvoyantReference(OnlineResult& result, bool feasible,
-                               Cost clairvoyantCost) {
-  result.clairvoyantFeasible = feasible;
-  result.regretRatio = quietNaN();
-  if (!feasible || !result.ran) return;
-  result.clairvoyantCost = clairvoyantCost;
-  result.regret = result.actualCost - clairvoyantCost;
-  if (clairvoyantCost > 0) {
-    result.regretRatio = static_cast<double>(result.actualCost) /
-                         static_cast<double>(clairvoyantCost);
-  } else if (result.actualCost == 0) {
-    result.regretRatio = 1.0;
-  }
-}
-
-OnlineResult replayOnline(const Instance& instance,
-                          const PowerProfile& forecast,
-                          const PowerProfile& actual,
-                          const OnlineOptions& options) {
-  OnlineResult result;
-  result.solver = options.solver;
-  result.policy = options.policy;
-  result.regretRatio = std::numeric_limits<double>::quiet_NaN();
-  try {
-    ReplayEngine engine(instance, forecast, actual, options);
-    result = engine.run();
-  } catch (const std::exception& e) {
-    result.error = e.what();
-    return result;
-  }
-  if (!result.ran || !options.clairvoyant) return result;
-
-  // Clairvoyant reference: the same solver planning directly against the
-  // (unextended) actual profile, billed the ordinary offline way.
-  try {
-    const SolverRegistry& registry = SolverRegistry::global();
-    SolveContext ctx(instance.gc, actual, instance.deadline);
-    SolveRequest request;
-    request.gc = &instance.gc;
-    request.profile = &actual;
-    request.deadline = instance.deadline;
-    request.graph = &instance.graph;
-    request.platform = &instance.platform;
-    request.context = &ctx;
-    request.options = options.solverOptions;
-    const SolveResult solved = registry.create(options.solver)->solve(request);
-    applyClairvoyantReference(result, solved.feasible, solved.cost);
-  } catch (const std::exception&) {
-    result.clairvoyantFeasible = false;
+  result.clairvoyantFeasible = shared_.clairvoyantFeasible_;
+  if (result.clairvoyantFeasible) {
+    const Cost reference = shared_.clairvoyantCost_;
+    result.clairvoyantCost = reference;
+    result.regret = result.actualCost - reference;
+    if (reference > 0) {
+      result.regretRatio = static_cast<double>(result.actualCost) /
+                           static_cast<double>(reference);
+    } else if (result.actualCost == 0) {
+      result.regretRatio = 1.0;
+    }
   }
   return result;
 }
 
-OnlineResult replayOnline(const Instance& instance,
-                          const std::string& actualSpec,
-                          const OnlineOptions& options) {
-  const ProfileRequest request = instanceProfileRequest(instance);
-  if (actualSpec.empty()) {
-    // One-spec semantics: the instance's own scenario spec resolves to a
-    // forecast/actual pair (`+noise` = forecast error).
-    const ProfilePair pair =
-        generateForecastActualPair(instance.spec.scenario, request);
-    return replayOnline(instance, pair.forecast, pair.actual, options);
-  }
-  requireForecastWithoutNoise(instance.spec.scenario, actualSpec);
-  const PowerProfile actual = generateProfile(actualSpec, request);
-  return replayOnline(instance, instance.profile, actual, options);
-}
-
-std::vector<OnlineResult> replayOnlinePolicies(
+std::vector<OnlineResult> replayOnline(
     const Instance& instance, const PowerProfile& forecast,
     const PowerProfile& actual, const OnlineOptions& options,
-    const std::vector<std::string>& policies) {
+    const std::vector<std::string>& policies, const SolveContext* context) {
   CAWO_REQUIRE(!policies.empty(), "no rescheduling policies given");
+  std::vector<PolicyPtr> rules;
+  for (const std::string& policy : policies)
+    rules.push_back(ReschedulePolicyRegistry::global().resolve(policy));
+
+  const ReplayPlan plan(instance, forecast, actual, options, context);
   std::vector<OnlineResult> results;
-  results.reserve(policies.size());
-
-  // The offline plan and the per-instance context are policy-independent:
-  // derive each once up front and hand them to every replay.
-  std::optional<SolveContext> ctx;
-  ctx.emplace(instance.gc, forecast, instance.deadline);
-  SolveResult plan;
-  bool planSolved = false;
-  std::string planError;
-  try {
-    SolveRequest request;
-    request.gc = &instance.gc;
-    request.profile = &forecast;
-    request.deadline = instance.deadline;
-    request.graph = &instance.graph;
-    request.platform = &instance.platform;
-    request.context = &*ctx;
-    request.options = options.solverOptions;
-    plan = SolverRegistry::global().create(options.solver)->solve(request);
-    planSolved = true;
-  } catch (const std::exception& e) {
-    planError = e.what();
-  }
-
-  OnlineOptions opts = options;
-  bool haveReference = false;
-  bool referenceFeasible = false;
-  Cost referenceCost = 0;
-  for (const std::string& policy : policies) {
-    opts.policy = policy;
-    if (!planSolved) {
-      OnlineResult failed;
-      failed.solver = options.solver;
-      failed.policy = policy;
-      failed.regretRatio = quietNaN();
-      failed.error = planError;
-      results.push_back(std::move(failed));
-      continue;
-    }
-    opts.precomputedPlan = &plan;
-    opts.sharedContext = &*ctx;
-    // The clairvoyant reference is policy-independent too: solve it with
-    // the first replay, spread it across the rest.
-    opts.clairvoyant = options.clairvoyant && !haveReference;
-    OnlineResult r = replayOnline(instance, forecast, actual, opts);
-    if (options.clairvoyant) {
-      if (haveReference) {
-        applyClairvoyantReference(r, referenceFeasible, referenceCost);
-      } else if (r.ran) {
-        haveReference = true;
-        referenceFeasible = r.clairvoyantFeasible;
-        referenceCost = r.clairvoyantCost;
-      }
-    }
-    results.push_back(std::move(r));
-  }
+  for (std::size_t p = 0; p < policies.size(); ++p)
+    results.push_back(
+        ReplayEngine(plan, policies[p], std::move(rules[p])).run());
   return results;
 }
 
-std::vector<OnlineResult> replayOnlinePolicies(
+std::vector<OnlineResult> replayOnline(
     const Instance& instance, const std::string& actualSpec,
-    const OnlineOptions& options, const std::vector<std::string>& policies) {
-  const ProfileRequest request = instanceProfileRequest(instance);
-  if (actualSpec.empty()) {
-    const ProfilePair pair =
-        generateForecastActualPair(instance.spec.scenario, request);
-    return replayOnlinePolicies(instance, pair.forecast, pair.actual,
-                                options, policies);
-  }
-  requireForecastWithoutNoise(instance.spec.scenario, actualSpec);
-  const PowerProfile actual = generateProfile(actualSpec, request);
-  return replayOnlinePolicies(instance, instance.profile, actual, options,
-                              policies);
+    const OnlineOptions& options, const std::vector<std::string>& policies,
+    const SolveContext* context) {
+  const ReplayProfiles profiles(instance, actualSpec);
+  return replayOnline(instance, profiles.forecast(), profiles.actual(),
+                      options, policies, context);
 }
 
 } // namespace cawo

@@ -46,36 +46,17 @@
 
 namespace cawo {
 
-/// Knobs of one replay.
+/// Knobs of one replay call, shared by every policy it runs.
 struct OnlineOptions {
   /// Registry solver producing the offline plan (and the clairvoyant
   /// reference solve against actuals).
   std::string solver = "pressWR-LS";
-  /// Rescheduling policy spec (see ReschedulePolicyRegistry).
-  std::string policy = "static";
   /// Per-task multiplicative runtime perturbation amplitude in [0, 1):
   /// actual duration = max(1, round(ω(u) · (1 + U(−A, A)))). 0 = exact.
   double runtimeNoise = 0.0;
   std::uint64_t runtimeSeed = 1;
   /// Forwarded to every solve (block-size, ls-radius, alpha, ...).
   SolverOptions solverOptions;
-  /// Also solve the instance offline against the *actual* profile — the
-  /// clairvoyant reference that regret is measured against. Costs one
-  /// extra solve; switch off for pure execution replays.
-  bool clairvoyant = true;
-  /// Optional precomputed offline plan: `solver` solved against exactly
-  /// (instance.gc, forecast, instance.deadline) with `solverOptions`.
-  /// The plan and the clairvoyant reference are policy-independent, so
-  /// per-policy loops solve each once and share them (see
-  /// `applyClairvoyantReference`); when set the engine skips its own
-  /// planning solve. Must outlive the replay.
-  const SolveResult* precomputedPlan = nullptr;
-  /// Optional shared per-instance context describing exactly
-  /// (instance.gc, forecast, instance.deadline). Per-policy loops pass
-  /// one so the memoized windows/score-order/refined-interval artifacts
-  /// are derived once per row, not once per policy. Not thread-safe:
-  /// the sharing replays must run sequentially. Must outlive the replay.
-  const SolveContext* sharedContext = nullptr;
 };
 
 /// One re-solve attempt.
@@ -116,60 +97,62 @@ struct OnlineResult {
   bool deadlineMet = false;
 };
 
-/// Event-driven replay of one instance. Construct, then either `run()` in
-/// one go or `step()` through completion-event batches (tests use the
-/// fine-grained form to check the incremental windows after every event).
-/// The instance, forecast and actual must outlive the engine.
-class ReplayEngine {
+/// The forecast/actual pair a replay of `instance` plays (docs/formats.md,
+/// "Forecast vs actual"). An empty `actualSpec` resolves the instance's own
+/// scenario spec to its noise pair (see generateForecastActualPair).
+/// Otherwise the forecast is the instance profile itself — not a copy, so a
+/// context built on it still matches — and the actual is generated from
+/// `actualSpec` after `requireForecastWithoutNoise`. `instance` must
+/// outlive the pair.
+class ReplayProfiles {
 public:
-  /// Solves the offline plan in the constructor; throws PreconditionError
-  /// when the solver cannot run on the instance (capability mismatch) and
-  /// InvariantError-style failures propagate. An *infeasible* offline
-  /// solve is reported via `planFeasible()` instead of thrown.
-  ReplayEngine(const Instance& instance, const PowerProfile& forecast,
-               const PowerProfile& actual, const OnlineOptions& options);
+  ReplayProfiles(const Instance& instance, const std::string& actualSpec);
 
-  ReplayEngine(const ReplayEngine&) = delete;
-  ReplayEngine& operator=(const ReplayEngine&) = delete;
-
-  bool planFeasible() const { return planFeasible_; }
-
-  /// All tasks completed?
-  bool finished() const {
-    return completedCount_ == static_cast<std::size_t>(numNodes());
+  const PowerProfile& forecast() const {
+    return pairForecast_ ? *pairForecast_ : *instanceProfile_;
   }
-
-  /// Advance to the next completion-event batch: start everything
-  /// startable, apply the batch's completions, consult the policy (and
-  /// possibly re-solve). Returns the batch time. Requires
-  /// `planFeasible() && !finished()`.
-  Time step();
-
-  /// Drive to completion and assemble the result. Also usable after
-  /// partial manual stepping.
-  OnlineResult run();
-
-  // Introspection (tests and diagnostics).
-  const EnhancedGraph& gc() const { return *gc_; }
-  Time deadline() const { return deadline_; }
-  Time now() const { return now_; }
-  const WindowState& windows() const { return *windows_; }
-  const Schedule& plan() const { return plan_; }
-  const Schedule& executedStarts() const { return executed_; }
-  const std::vector<std::uint8_t>& startedMask() const { return started_; }
-  const std::vector<Time>& actualDurations() const { return durations_; }
-  std::size_t resolveCount() const { return resolves_.size(); }
+  const PowerProfile& actual() const { return actual_; }
 
 private:
-  TaskId numNodes() const { return gc_->numNodes(); }
-  void startReady();
-  void startNode(TaskId v, Time at);
-  void applyPolicy();
-  bool attemptResolve();
-  double windowedDeviation();
-  std::int64_t intervalIndexAt(Time t) const;
+  const PowerProfile* instanceProfile_;
+  std::optional<PowerProfile> pairForecast_; ///< the noise pair's forecast
+  PowerProfile actual_;
+};
+
+/// The policy-independent half of a replay, built once per `replayOnline`
+/// call and shared by one `ReplayEngine` per policy: the offline plan, the
+/// effective problem it runs under (for a re-mapping solver: the re-mapped
+/// graph, the extended profiles and a context re-seated on them), the
+/// residual re-solver, the actual runtimes and the clairvoyant reference.
+/// Engines sharing a plan run one after another (the context memoizes).
+/// The instance, both profiles and any given context must outlive it.
+class ReplayPlan {
+public:
+  /// Solves the plan against `forecast` on `context` — which must describe
+  /// (instance.gc, forecast, instance.deadline), as `Solver::solve` checks
+  /// — or on a context of its own. A solve that throws (unknown solver,
+  /// capability mismatch) or returns an infeasible plan is recorded in
+  /// `error()`, not thrown.
+  ReplayPlan(const Instance& instance, const PowerProfile& forecast,
+             const PowerProfile& actual, const OnlineOptions& options,
+             const SolveContext* context = nullptr);
+
+  /// The plan is feasible and engines can run it; else `error()` says why.
+  bool feasible() const { return feasible_; }
+  const std::string& error() const { return error_; }
+
+private:
+  friend class ReplayEngine;
+
+  void build(const Instance& instance, const PowerProfile& forecast,
+             const PowerProfile& actual, const SolveContext* context);
 
   OnlineOptions options_;
+  bool feasible_ = false;
+  std::string error_;
+  Cost forecastCost_ = 0;
+  double solveWallMs_ = 0.0;
+  Schedule schedule_; ///< the offline plan
 
   // Effective problem (differs from the instance for re-mapping solvers).
   const EnhancedGraph* gc_ = nullptr;
@@ -179,21 +162,67 @@ private:
   std::shared_ptr<const EnhancedGraph> remappedGc_;    // keepalive
   std::shared_ptr<const PowerProfile> forecastOwned_;  // keepalive
   std::optional<PowerProfile> actualOwned_; // extended copy (remap case)
+  const SolveContext* ctx_ = nullptr;    ///< context of the effective problem
+  std::optional<SolveContext> ownedCtx_; ///< when none was given or re-seated
+  SolverPtr resolveSolver_;              ///< residual-capable re-solver
 
-  const SolveContext* ctx_ = nullptr; ///< context of the effective problem
-  std::optional<SolveContext> ownedCtx_; ///< backing storage unless shared
-  SolverPtr resolveSolver_;         ///< residual-capable re-solver
+  std::vector<Time> plannedLens_; ///< ω(u) of the effective graph
+  std::vector<Time> durations_;   ///< actual (perturbed) durations
+
+  bool clairvoyantFeasible_ = false;
+  Cost clairvoyantCost_ = 0;
+};
+
+/// Event-driven replay of one policy over a shared `ReplayPlan`. Construct,
+/// then either `run()` in one go or `step()` through completion-event
+/// batches (tests use the fine-grained form to check the incremental
+/// windows after every event). The plan must outlive the engine.
+class ReplayEngine {
+public:
+  /// `rule` is the policy resolved from the spec `policy`, which the
+  /// result reports verbatim. Over an infeasible plan, `run()` reports
+  /// `plan.error()` without stepping.
+  ReplayEngine(const ReplayPlan& plan, std::string policy, PolicyPtr rule);
+
+  /// All tasks completed?
+  bool finished() const {
+    return completedCount_ == static_cast<std::size_t>(numNodes());
+  }
+
+  /// Advance to the next completion-event batch: start everything
+  /// startable, apply the batch's completions, consult the policy (and
+  /// possibly re-solve). Returns the batch time. Requires a feasible plan
+  /// and `!finished()`.
+  Time step();
+
+  /// Drive to completion and assemble the result. Also usable after
+  /// partial manual stepping.
+  OnlineResult run();
+
+  // Introspection (tests and diagnostics).
+  const EnhancedGraph& gc() const { return *shared_.gc_; }
+  Time deadline() const { return shared_.deadline_; }
+  Time now() const { return now_; }
+  const WindowState& windows() const { return *windows_; }
+  const Schedule& executedStarts() const { return executed_; }
+  const std::vector<std::uint8_t>& startedMask() const { return started_; }
+  std::size_t resolveCount() const { return resolves_.size(); }
+
+private:
+  TaskId numNodes() const { return gc().numNodes(); }
+  void startReady();
+  void startNode(TaskId v, Time at);
+  void applyPolicy();
+  bool attemptResolve();
+  double windowedDeviation();
+  std::int64_t intervalIndexAt(Time t) const;
+
+  const ReplayPlan& shared_;
+  std::string policySpec_;
   PolicyPtr policy_;
-
-  bool planFeasible_ = false;
-  std::string planError_;
-  Cost forecastCost_ = 0;
-  double solveWallMs_ = 0.0;
 
   Schedule plan_;                     ///< current plan (complete schedule)
   Schedule executed_;                 ///< actual starts (unset = unstarted)
-  std::vector<Time> durations_;       ///< actual (perturbed) durations
-  std::vector<Time> plannedLens_;     ///< ω(u) of the effective graph
   std::vector<std::uint8_t> started_, completed_;
   std::vector<TaskId> predsLeft_;
   /// Unstarted tasks whose predecessors have all completed — each task
@@ -223,48 +252,25 @@ private:
   std::vector<Time> residualDurations_; ///< scratch for re-solves
 };
 
-/// Fill the clairvoyant-reference fields of `result` (clairvoyant cost,
-/// regret, regret ratio) from an already-computed reference solve. The
-/// reference depends only on (instance, solver, actual) — per-policy
-/// loops solve it once (`OnlineOptions::clairvoyant` on the first
-/// replay) and share it across the row with this helper.
-void applyClairvoyantReference(OnlineResult& result, bool feasible,
-                               Cost clairvoyantCost);
-
-/// One-call replay: build the engine, run to completion, fold solver
-/// capability errors into `OnlineResult::error` instead of throwing.
-/// `forecast`/`actual` must cover the instance deadline.
-OnlineResult replayOnline(const Instance& instance,
-                          const PowerProfile& forecast,
-                          const PowerProfile& actual,
-                          const OnlineOptions& options);
-
-/// Convenience overload resolving the forecast/actual pair from the
-/// instance's own scenario spec (the `+noise` modifier is the forecast
-/// error — see generateForecastActualPair) or, when `actualSpec` is
-/// non-empty, generating the actual from that spec through the instance's
-/// own ProfileRequest.
-OnlineResult replayOnline(const Instance& instance,
-                          const std::string& actualSpec,
-                          const OnlineOptions& options);
-
-/// Replay one instance under several policies, sharing the
-/// policy-independent work: the offline plan is solved once (not once per
-/// policy) and the clairvoyant reference — when `options.clairvoyant` —
-/// once, then spread across the rows with `applyClairvoyantReference`.
-/// Results come back in policy order; `options.policy` is ignored. This
-/// is the loop behind every policy-comparison surface (`cawosched-cli
-/// replay`, the campaign online mode, `bench_online_regret`,
-/// `examples/online_replay`).
-std::vector<OnlineResult> replayOnlinePolicies(
+/// Replay one instance under each of `policies`, in order — the one entry
+/// point behind every replay surface (`cawosched-cli replay`, the campaign
+/// online mode, serve's `replay`, `bench_online_regret`,
+/// `examples/online_replay`). Every policy is resolved first, so an
+/// unknown spec throws PreconditionError before any solve; then one
+/// `ReplayPlan` is built and one `ReplayEngine` per policy runs on it.
+/// When the solver cannot produce a feasible plan, each policy gets a
+/// `ran == false` row carrying the error. `context` is forwarded to the
+/// plan (see `ReplayPlan`).
+std::vector<OnlineResult> replayOnline(
     const Instance& instance, const PowerProfile& forecast,
     const PowerProfile& actual, const OnlineOptions& options,
-    const std::vector<std::string>& policies);
+    const std::vector<std::string>& policies,
+    const SolveContext* context = nullptr);
 
-/// Spec-resolving overload, mirroring `replayOnline(instance, actualSpec,
-/// options)`.
-std::vector<OnlineResult> replayOnlinePolicies(
+/// The same, playing the `ReplayProfiles(instance, actualSpec)` pair.
+std::vector<OnlineResult> replayOnline(
     const Instance& instance, const std::string& actualSpec,
-    const OnlineOptions& options, const std::vector<std::string>& policies);
+    const OnlineOptions& options, const std::vector<std::string>& policies,
+    const SolveContext* context = nullptr);
 
 } // namespace cawo

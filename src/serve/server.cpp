@@ -396,24 +396,26 @@ void ServeServer::runReplayJob(const ServeRequest& request,
 
   OnlineOptions opts;
   opts.solver = request.algo;
-  opts.policy = request.policy;
   opts.runtimeNoise = request.runtimeNoise;
   opts.runtimeSeed = request.runtimeSeed;
   opts.solverOptions = mergedOptions(request.options);
 
-  // The shared context describes (gc, instance.profile, deadline). With an
+  // The cached context describes (gc, instance.profile, deadline). With an
   // explicit actual spec the replay plans against exactly that forecast,
-  // so the cached context applies; with an empty spec the engine generates
-  // a *fresh* forecast/actual noise pair and must build its own context.
+  // so the cached context applies; with an empty spec the replay generates
+  // a *fresh* forecast/actual noise pair and builds its own context.
+  const SolveContext* context = nullptr;
   std::unique_lock<std::mutex> entryLock(entry->mutex, std::defer_lock);
   if (!request.actual.empty()) {
-    opts.sharedContext = &entry->context;
+    context = &entry->context;
     entryLock.lock();
   }
 
   OnlineResult result;
   try {
-    result = replayOnline(entry->instance, request.actual, opts);
+    result = replayOnline(entry->instance, request.actual, opts,
+                          {request.policy}, context)
+                 .front();
   } catch (const PreconditionError& e) {
     respondError(respond, request.id, "replay", "bad_request", e.what());
     return;

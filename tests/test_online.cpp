@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "core/carbon_cost.hpp"
 #include "core/cawosched.hpp"
@@ -20,6 +21,7 @@
 #include "exp/campaign.hpp"
 #include "exp/campaign_runner.hpp"
 #include "exp/json.hpp"
+#include "obs/trace.hpp"
 #include "online/policy.hpp"
 #include "online/replay.hpp"
 #include "profile/profile_source.hpp"
@@ -223,11 +225,10 @@ TEST(ReplayParity, StaticPolicyReproducesOfflineCostForAllSolvers) {
 
       OnlineOptions opts;
       opts.solver = name;
-      opts.policy = "static";
-      opts.clairvoyant = false;
       opts.solverOptions = options;
       const OnlineResult online =
-          replayOnline(inst, inst.profile, inst.profile, opts);
+          replayOnline(inst, inst.profile, inst.profile, opts, {"static"})
+              .front();
       ASSERT_TRUE(online.ran) << name << ": " << online.error;
       // The engine-internal pin, valid for every solver: billing the
       // executed trajectory against the actual (== forecast) profile
@@ -269,9 +270,7 @@ TEST(ReplayParity, ResolvingPoliciesPreserveDeadlineFeasibility) {
         const Instance inst = buildInstance(smokeSpec(scenario, factor));
         OnlineOptions opts;
         opts.solver = "pressWR-LS";
-        opts.policy = policy;
-        opts.clairvoyant = false;
-        const OnlineResult r = replayOnline(inst, "", opts);
+        const OnlineResult r = replayOnline(inst, "", opts, {policy}).front();
         ASSERT_TRUE(r.ran) << policy << ": " << r.error;
         EXPECT_TRUE(r.deadlineMet)
             << policy << " on " << inst.spec.label() << " finished at "
@@ -295,16 +294,15 @@ TEST(ReplayWindows, IncrementalWindowsMatchOracleAfterEveryEvent) {
         buildInstance(smokeSpec("S1+noise=0.3,seed=4", 2.0, seed));
     OnlineOptions opts;
     opts.solver = "pressWR";
-    opts.policy = "periodic:every=1";
     opts.runtimeNoise = 0.25;
     opts.runtimeSeed = seed;
-    opts.clairvoyant = false;
 
-    const ProfileRequest preq = instanceProfileRequest(inst);
-    const ProfilePair pair =
-        generateForecastActualPair(inst.spec.scenario, preq);
-    ReplayEngine engine(inst, pair.forecast, pair.actual, opts);
-    ASSERT_TRUE(engine.planFeasible());
+    const ReplayProfiles profiles(inst, "");
+    const ReplayPlan plan(inst, profiles.forecast(), profiles.actual(), opts);
+    ASSERT_TRUE(plan.feasible()) << plan.error();
+    const std::string policy = "periodic:every=1";
+    ReplayEngine engine(plan, policy,
+                        ReschedulePolicyRegistry::global().resolve(policy));
 
     const EnhancedGraph& gc = engine.gc();
     std::vector<Time> est(static_cast<std::size_t>(gc.numNodes()));
@@ -332,6 +330,101 @@ TEST(ReplayWindows, IncrementalWindowsMatchOracleAfterEveryEvent) {
     EXPECT_GT(checked, 0);
     EXPECT_GT(engine.resolveCount(), 0u)
         << "the periodic:every=1 policy should have re-solved";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One replay call over a policy list
+// ---------------------------------------------------------------------------
+
+// One replayOnline call shares the plan, the effective problem, the
+// runtimes and the clairvoyant reference across its policies; each row
+// must equal the one-policy call of the same policy, field by field (wall
+// times aside) — also for a re-mapping solver and under runtime noise.
+TEST(ReplayPolicies, ListCallMatchesOnePolicyCalls) {
+  const std::vector<std::string> policies{"static", "periodic:every=1",
+                                          "reactive:threshold=0.05"};
+  const std::vector<std::pair<std::string, std::string>> pairs{
+      {"S1+noise=0.3,seed=9", ""}, {"S3", "constant:level=0.4"}};
+  std::size_t resolves = 0;
+  for (const std::string solver : {"pressWR-LS", "greenheft"}) {
+    for (const double noise : {0.0, 0.1}) {
+      for (const auto& [forecast, actual] : pairs) {
+        const Instance inst = buildInstance(smokeSpec(forecast, 1.2));
+        OnlineOptions opts;
+        opts.solver = solver;
+        opts.runtimeNoise = noise;
+        const std::vector<OnlineResult> rows =
+            replayOnline(inst, actual, opts, policies);
+        ASSERT_EQ(rows.size(), policies.size());
+        for (std::size_t p = 0; p < policies.size(); ++p) {
+          SCOPED_TRACE(solver + " / " + policies[p] + " / " + forecast +
+                       " vs '" + actual + "' / noise " +
+                       std::to_string(noise));
+          const OnlineResult one =
+              replayOnline(inst, actual, opts, {policies[p]}).front();
+          const OnlineResult& row = rows[p];
+          ASSERT_TRUE(row.ran) << row.error;
+          EXPECT_EQ(row.solver, one.solver);
+          EXPECT_EQ(row.policy, one.policy);
+          EXPECT_EQ(row.ran, one.ran);
+          EXPECT_EQ(row.forecastCost, one.forecastCost);
+          EXPECT_EQ(row.actualCost, one.actualCost);
+          EXPECT_EQ(row.clairvoyantFeasible, one.clairvoyantFeasible);
+          EXPECT_EQ(row.clairvoyantCost, one.clairvoyantCost);
+          EXPECT_EQ(row.regret, one.regret);
+          EXPECT_TRUE(row.regretRatio == one.regretRatio ||
+                      (std::isnan(row.regretRatio) &&
+                       std::isnan(one.regretRatio)));
+          EXPECT_EQ(row.resolveCount, one.resolveCount);
+          EXPECT_EQ(row.resolveAccepted, one.resolveAccepted);
+          ASSERT_EQ(row.resolves.size(), one.resolves.size());
+          for (std::size_t k = 0; k < row.resolves.size(); ++k) {
+            EXPECT_EQ(row.resolves[k].at, one.resolves[k].at);
+            EXPECT_EQ(row.resolves[k].accepted, one.resolves[k].accepted);
+          }
+          EXPECT_EQ(row.deadline, one.deadline);
+          EXPECT_EQ(row.finishTime, one.finishTime);
+          EXPECT_EQ(row.deadlineMet, one.deadlineMet);
+          resolves += row.resolveCount;
+        }
+      }
+    }
+  }
+  EXPECT_GT(resolves, 0u) << "the sweep should exercise re-solves";
+}
+
+// A policy list costs one plan solve and one clairvoyant solve per call,
+// plus the re-solves: exactly 2 + Σ resolveCount `solve` spans.
+TEST(ReplayPolicies, SolvesPlanAndReferenceOncePerCall) {
+  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+  for (const std::string solver : {"pressWR-LS", "greenheft"}) {
+    const Instance inst =
+        buildInstance(smokeSpec("S1+noise=0.3,seed=9", 1.2));
+    OnlineOptions opts;
+    opts.solver = solver;
+    opts.runtimeNoise = 0.1;
+    recorder.clear();
+    recorder.setState(obs::TraceState::Recording);
+    const std::vector<OnlineResult> rows = replayOnline(
+        inst, "", opts,
+        {"static", "periodic:every=1", "reactive:threshold=0.05"});
+    recorder.setState(obs::TraceState::Off);
+    std::ostringstream trace;
+    recorder.writeChromeTrace(trace);
+    recorder.clear();
+    const JsonValue doc = JsonValue::parse(trace.str());
+
+    std::size_t resolves = 0;
+    for (const OnlineResult& r : rows) {
+      ASSERT_TRUE(r.ran) << solver << ": " << r.error;
+      resolves += r.resolveCount;
+    }
+    EXPECT_GT(resolves, 0u) << solver;
+    std::size_t solveSpans = 0;
+    for (const JsonValue& event : doc.at("traceEvents").asArray())
+      solveSpans += event.at("name").asString() == "solve" ? 1 : 0;
+    EXPECT_EQ(solveSpans, 2 + resolves) << solver;
   }
 }
 
@@ -575,9 +668,9 @@ TEST(OnlineCampaign, ExplicitActualRejectsNoisyForecastSpecs) {
   // with an explicit actual would silently change what the solver plans
   // against, so both surfaces reject the combination.
   const Instance inst = buildInstance(smokeSpec("S1+noise=0.2,seed=3"));
-  OnlineOptions opts;
-  EXPECT_THROW(replayOnline(inst, "constant:level=0.4", opts),
-               PreconditionError);
+  EXPECT_THROW(
+      replayOnline(inst, "constant:level=0.4", OnlineOptions{}, {"static"}),
+      PreconditionError);
 
   CampaignSpec spec = onlineCampaignSpec(); // scenario has +noise
   setCampaignKey(spec, "actual", "constant:level=0.4");
@@ -603,10 +696,10 @@ TEST(OnlineCampaign, RecordsMatchDirectReplayAndCarryOnlineFields) {
     ASSERT_FALSE(record.skipped);
     OnlineOptions opts;
     opts.solver = record.solver;
-    opts.policy = record.policy;
     opts.solverOptions = options;
     opts.runtimeSeed = inst.spec.seed ^ 0x0417CEB5ULL;
-    const OnlineResult direct = replayOnline(inst, "", opts);
+    const OnlineResult direct =
+        replayOnline(inst, "", opts, {record.policy}).front();
     ASSERT_TRUE(direct.ran);
     EXPECT_EQ(record.cost, direct.actualCost)
         << record.solver << " @ " << record.policy;

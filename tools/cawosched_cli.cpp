@@ -622,7 +622,7 @@ int runReplayCommand(const CliArgs& args) {
             << "solver        : " << opts.solver << "\n\n";
 
   const std::vector<OnlineResult> results =
-      replayOnlinePolicies(inst, actualSpec, opts, policies);
+      replayOnline(inst, actualSpec, opts, policies);
 
   TextTable table({"policy", "actual cost", "plan cost", "clairvoyant",
                    "regret", "re-solves", "resolve ms", "deadline"});
