@@ -1,7 +1,6 @@
 #include "profile/profile_source.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -18,15 +17,6 @@ namespace cawo {
 namespace {
 
 constexpr const char* kNoiseMarker = "+noise=";
-
-/// Shortest decimal form that parses back to exactly the same double —
-/// keeps ProfileSpec::canonical() a true round-trip.
-std::string shortestDouble(double v) {
-  char buffer[32];
-  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer), v);
-  CAWO_ASSERT(ec == std::errc{}, "double formatting failed");
-  return std::string(buffer, ptr);
-}
 
 } // namespace
 
@@ -89,6 +79,10 @@ ProfileSpec ProfileSourceRegistry::resolve(const std::string& specText) const {
 PowerProfile ProfileSourceRegistry::generate(
     const ProfileSpec& spec, const ProfileRequest& request) const {
   CAWO_REQUIRE(request.horizon > 0, "profile horizon must be positive");
+  CAWO_REQUIRE(request.horizon <= kMaxHorizon,
+               "profile horizon " + std::to_string(request.horizon) +
+                   " exceeds the largest supported horizon " +
+                   std::to_string(kMaxHorizon));
   PowerProfile profile = factory(spec)(spec, request);
   CAWO_ASSERT(profile.horizon() == request.horizon,
               "profile source \"" + spec.name +
@@ -234,13 +228,19 @@ PowerProfile traceSource(const ProfileSpec& spec, const ProfileRequest& req) {
   spec.requireKnownParams({"path", "repeat", "scale", "normalize"},
                           /*allowBare=*/true);
   std::string path = spec.param("path", "");
-  for (const SpecParam& p : spec.params)
-    if (p.key.empty()) {
-      CAWO_REQUIRE(path.empty(), "profile spec \"" + spec.text +
-                                     "\": both a positional path and "
-                                     "path= were given");
-      path = p.value;
-    }
+  bool positional = false;
+  for (const SpecParam& p : spec.params) {
+    if (!p.key.empty()) continue;
+    CAWO_REQUIRE(!positional, "profile spec \"" + spec.text +
+                                  "\": trace takes one positional path, "
+                                  "so \"" + p.value +
+                                  "\" needs key=value");
+    CAWO_REQUIRE(path.empty(), "profile spec \"" + spec.text +
+                                   "\": both a positional path and "
+                                   "path= were given");
+    path = p.value;
+    positional = true;
+  }
   CAWO_REQUIRE(!path.empty(), "profile spec \"" + spec.text +
                                   "\": trace needs a CSV path "
                                   "(trace:file.csv or trace:path=file.csv)");

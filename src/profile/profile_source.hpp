@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,11 @@ struct ProfileSpec : Spec {
   std::string canonical() const;
 };
 
+/// The largest supported profile horizon, in time units. Synthetic
+/// sources count their intervals in `int`, so a longer horizon (and so a
+/// longer deadline) is rejected before any profile is generated.
+inline constexpr Time kMaxHorizon = std::numeric_limits<std::int32_t>::max();
+
 /// Everything a source needs to materialise a profile for one instance.
 struct ProfileRequest {
   Time horizon = 0;     ///< the profile must cover [0, horizon)
@@ -88,7 +94,8 @@ public:
   /// PreconditionError listing every registered source and its syntax.
   ProfileSpec resolve(const std::string& specText) const;
 
-  /// Generate the profile for an (already resolved) spec.
+  /// Generate the profile for an (already resolved) spec. The horizon
+  /// must lie in [1, kMaxHorizon].
   PowerProfile generate(const ProfileSpec& spec,
                         const ProfileRequest& request) const;
 };

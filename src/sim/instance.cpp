@@ -87,8 +87,9 @@ Instance buildInstance(const InstanceSpec& spec) {
                                           linkPower, &heft.startTimes);
 
   const Time d = asapMakespan(gc);
-  const Time deadline = static_cast<Time>(
-      std::llround(std::ceil(spec.deadlineFactor * static_cast<double>(d))));
+  const double scaled = std::ceil(spec.deadlineFactor * static_cast<double>(d));
+  requireDeadlineInRange(scaled, spec.deadlineFactor, d);
+  const Time deadline = static_cast<Time>(std::llround(scaled));
 
   // Resolve the scenario spec through the profile-source registry; the
   // request carries the legacy derived seed and default perturbation, so
@@ -104,6 +105,16 @@ Instance buildInstance(const InstanceSpec& spec) {
                   std::move(profile),
                   d,
                   deadline};
+}
+
+void requireDeadlineInRange(double deadline, double factor,
+                            Time asapMakespan) {
+  CAWO_REQUIRE(deadline <= static_cast<double>(kMaxHorizon),
+               "deadline " + shortestDouble(deadline) + " (deadline factor " +
+                   shortestDouble(factor) + " × ASAP makespan " +
+                   std::to_string(asapMakespan) +
+                   ") exceeds the largest supported horizon " +
+                   std::to_string(kMaxHorizon));
 }
 
 ProfileRequest instanceProfileRequest(const Instance& instance) {

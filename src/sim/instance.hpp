@@ -69,6 +69,13 @@ struct Instance {
 /// over exactly [0, deadline).
 Instance buildInstance(const InstanceSpec& spec);
 
+/// Reject a `deadline` — `factor` × the ASAP makespan `asapMakespan`,
+/// still a double — above kMaxHorizon, before its (otherwise undefined)
+/// conversion to Time. Shared by `buildInstance` and the CLI's DOT mode,
+/// which round the product differently.
+void requireDeadlineInRange(double deadline, double factor,
+                            Time asapMakespan);
+
 /// The exact ProfileRequest `buildInstance` used for this instance
 /// (horizon, power band, interval count, derived legacy seed). The online
 /// layers resolve *additional* profiles — an `actual` spec, or the

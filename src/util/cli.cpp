@@ -79,7 +79,7 @@ std::int64_t CliArgs::getInt(const std::string& name,
 double CliArgs::getDouble(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return parseFlag(name, it->second, parseDoubleStrict, "a number");
+  return parseFlag(name, it->second, parseDoubleStrict, "a finite number");
 }
 
 std::string CliArgs::getString(const std::string& name,

@@ -1,7 +1,5 @@
 #include "util/spec.hpp"
 
-#include <cmath>
-
 #include "util/strings.hpp"
 
 namespace cawo {
@@ -68,13 +66,8 @@ std::string Spec::param(const std::string& key,
 
 double Spec::paramDouble(const std::string& key, double fallback) const {
   if (!hasParam(key)) return fallback;
-  const std::string what =
-      "spec \"" + text + "\": parameter \"" + key + "\"";
-  const std::string value = param(key, "");
-  const double v = parseDoubleStrict(what, value);
-  CAWO_REQUIRE(std::isfinite(v),
-               what + ": \"" + value + "\" is not a finite number");
-  return v;
+  return parseDoubleStrict("spec \"" + text + "\": parameter \"" + key + "\"",
+                           param(key, ""));
 }
 
 std::int64_t Spec::paramInt(const std::string& key,

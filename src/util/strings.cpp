@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -14,6 +16,8 @@ double parseDoubleStrict(const std::string& what, const std::string& token) {
   const double v = std::strtod(token.c_str(), &end);
   CAWO_REQUIRE(end != token.c_str() && *end == '\0',
                what + ": \"" + token + "\" is not a number");
+  CAWO_REQUIRE(std::isfinite(v),
+               what + ": \"" + token + "\" is not a finite number");
   return v;
 }
 
@@ -102,6 +106,13 @@ std::string formatFixed(double value, int precision) {
   os.precision(precision);
   os << value;
   return os.str();
+}
+
+std::string shortestDouble(double v) {
+  char buffer[32];
+  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer), v);
+  CAWO_ASSERT(ec == std::errc{}, "double formatting failed");
+  return std::string(buffer, ptr);
 }
 
 std::string padLeft(std::string s, std::size_t width) {

@@ -14,6 +14,8 @@ namespace cawo {
 /// or a PreconditionError is thrown whose message starts with `what`
 /// (e.g. `campaign key "tasks"`). Shared by the campaign parser and the
 /// profile-spec parser so both layers reject malformed values identically.
+/// A double must be finite: `inf`, `nan` and overflowing literals such as
+/// `1e999` are "not a finite number".
 double parseDoubleStrict(const std::string& what, const std::string& token);
 std::int64_t parseInt64Strict(const std::string& what,
                               const std::string& token);
@@ -43,6 +45,9 @@ bool isGlob(const std::string& s);
 
 /// Render a double with fixed precision (for tables).
 std::string formatFixed(double value, int precision);
+
+/// Shortest decimal form that parses back to exactly the same double.
+std::string shortestDouble(double v);
 
 /// Left-pad / right-pad a string to the given width.
 std::string padLeft(std::string s, std::size_t width);

@@ -155,6 +155,17 @@ TEST(CampaignSpec, RejectsBadKeysValuesAndEmptyAxes) {
   EXPECT_THROW(setCampaignKey(spec, "scenarios", "S5"), PreconditionError);
   EXPECT_THROW(setCampaignKey(spec, "deadline-factors", "0.5"),
                PreconditionError);
+  // Non-finite factors are rejected at parse time, not mid-run.
+  for (const char* value : {"inf", "-inf", "nan", "1e999"}) {
+    try {
+      setCampaignKey(spec, "deadline-factors", std::string("1.5,") + value);
+      ADD_FAILURE() << value << " was accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("is not a finite number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_THROW(setCampaignKey(spec, "intervals", "0"), PreconditionError);
   EXPECT_THROW(parseCampaignText("no equals sign"), PreconditionError);
   EXPECT_THROW(parseCampaignText("= value"), PreconditionError);

@@ -254,6 +254,49 @@ TEST(ProfileSourceRegistry, UnknownParametersAreRejectedPerSource) {
           << message;
     }
   }
+  // A trace takes one positional path: a second bare value is a key that
+  // lost its `=value`, not a clash with `path=`.
+  const auto messageOf = [](const char* spec) {
+    try {
+      (void)generateProfile(spec, testRequest());
+    } catch (const PreconditionError& e) {
+      return std::string(e.what());
+    }
+    return std::string("(accepted)");
+  };
+  const std::string stray = messageOf("trace:examples/grid_trace.csv,repe");
+  EXPECT_NE(stray.find("trace takes one positional path, so \"repe\" needs "
+                       "key=value"),
+            std::string::npos)
+      << stray;
+  EXPECT_EQ(stray.find("path="), std::string::npos) << stray;
+  const std::string both = messageOf("trace:a.csv,path=b.csv");
+  EXPECT_NE(both.find("both a positional path and path= were given"),
+            std::string::npos)
+      << both;
+}
+
+// Synthetic sources count intervals in `int`: a horizon past kMaxHorizon
+// is rejected up front instead of narrowing (2^32 narrowed to 0 intervals
+// and divided by zero), while kMaxHorizon itself still generates.
+TEST(ProfileSourceRegistry, HorizonAboveTheBoundIsRejected) {
+  for (const char* spec : {"S1", "sine:period=12", "constant:level=0.5"}) {
+    try {
+      (void)generateProfile(spec, testRequest(Time{1} << 32));
+      ADD_FAILURE() << spec << " generated a 2^32 horizon";
+    } catch (const PreconditionError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("profile horizon 4294967296 exceeds the largest "
+                             "supported horizon 2147483647"),
+                std::string::npos)
+          << message;
+    }
+  }
+  ProfileRequest widest = testRequest(kMaxHorizon);
+  widest.numIntervals = 24;
+  const PowerProfile profile = generateProfile("S1", widest);
+  EXPECT_EQ(profile.numIntervals(), 24u);
+  EXPECT_EQ(profile.horizon(), kMaxHorizon);
 }
 
 // `scenarioFromName` stays the closed-enum accessor, but its error now

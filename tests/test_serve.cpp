@@ -321,6 +321,27 @@ TEST(ServeServer, MalformedInputYieldsErrorResponsesNotCrashes) {
   expectEnvelope(submitParsed(server, kSolveLine), "s1", "solve", true);
 }
 
+// deadline_factor × ASAP makespan 195 = 2^32 exactly: the deadline is past
+// the largest supported horizon, so the request is a bad_request — it used
+// to narrow to a 0-interval profile and kill the daemon with SIGFPE.
+TEST(ServeServer, DeadlinePastTheHorizonBoundIsABadRequest) {
+  ServeServer server(smallOptions());
+  const JsonValue huge = submitParsed(
+      server,
+      "{\"kind\":\"solve\",\"id\":\"x\",\"tasks\":30,\"intervals\":8,"
+      "\"deadline_factor\":22025473.312820513,\"algo\":\"pressWR\"}");
+  expectEnvelope(huge, "x", "solve", false);
+  EXPECT_EQ(huge.at("error").asString(), "bad_request");
+  EXPECT_NE(huge.at("message").asString().find(
+                "deadline 4294967296 (deadline factor 22025473.312820513 × "
+                "ASAP makespan 195) exceeds the largest supported horizon "
+                "2147483647"),
+            std::string::npos)
+      << huge.at("message").asString();
+  expectEnvelope(submitParsed(server, "{\"kind\":\"stats\",\"id\":\"t\"}"),
+                 "t", "stats", true);
+}
+
 TEST(ServeServer, CachedSolveIsBitIdenticalToColdSolve) {
   ServeServer server(smallOptions());
 

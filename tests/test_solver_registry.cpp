@@ -251,6 +251,16 @@ TEST(SolverApi, OptionsBagRejectsPartialNumbers) {
   EXPECT_NE(messageOf([&] { (void)options.getDouble("alpha", 0.0); })
                 .find("solver option \"alpha\": \"0.5y\" is not a number"),
             std::string::npos);
+  // A NaN time limit used to mean "no limit"; non-finite values are
+  // rejected like any other malformed number.
+  for (const std::string value : {"inf", "-inf", "nan", "1e999"}) {
+    options.set("time-limit-sec", value);
+    EXPECT_NE(messageOf([&] { (void)options.getDouble("time-limit-sec", 1); })
+                  .find("solver option \"time-limit-sec\": \"" + value +
+                        "\" is not a finite number"),
+              std::string::npos)
+        << value;
+  }
   // Whole numbers still read as doubles, and absent keys fall back.
   EXPECT_EQ(options.setInt("k", 4).getDouble("k", 0.0), 4.0);
   EXPECT_EQ(options.getInt("missing", 7), 7);

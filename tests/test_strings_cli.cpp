@@ -144,11 +144,20 @@ TEST(Cli, RejectsMalformedAndOutOfRangeNumbers) {
   EXPECT_EQ(usageMessage([&] { args.getInt("tasks", 0); }),
             "--tasks: \"3O\" is not an integer");
   EXPECT_EQ(usageMessage([&] { args.getDouble("factor", 0.0); }),
-            "--factor: \"abc\" is not a number");
+            "--factor: \"abc\" is not a finite number");
   EXPECT_THROW(args.getInt("seed", 0), UsageError);
   EXPECT_THROW(args.getDouble("ratio", 0.0), UsageError);
   EXPECT_THROW(args.getInt("count", 0), UsageError);
   EXPECT_THROW(args.getInt("big", 0), UsageError);
+  // Non-finite numbers pass no flag: `--deadline-factor=inf` used to clear
+  // the >= 1 check and `--bnb-time-limit=nan` meant no limit at all.
+  for (const std::string value : {"inf", "-inf", "nan", "1e999"}) {
+    const std::string arg = "--factor=" + value;
+    const char* nonFinite[] = {"prog", arg.c_str()};
+    const CliArgs parsed(2, nonFinite, {"factor"});
+    EXPECT_EQ(usageMessage([&] { parsed.getDouble("factor", 0.0); }),
+              "--factor: \"" + value + "\" is not a finite number");
+  }
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 // the body. Usage errors exit 2, runtime failures exit 1.
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -112,8 +113,9 @@ int runSchedule(const CliArgs& args) {
   const EnhancedGraph gc = EnhancedGraph::build(
       workflow, cluster, mapped.mapping, linkPower, &mapped.startTimes);
   const Time d = asapMakespan(gc);
-  const auto deadline =
-      static_cast<Time>(factor * static_cast<double>(d)) + 1;
+  const double scaled = factor * static_cast<double>(d);
+  requireDeadlineInRange(std::floor(scaled) + 1.0, factor, d);
+  const auto deadline = static_cast<Time>(scaled) + 1;
 
   // Power profile covering the deadline.
   PowerProfile profile;
