@@ -277,8 +277,8 @@ TEST(ProfileSourceRegistry, UnknownParametersAreRejectedPerSource) {
 }
 
 // Synthetic sources count intervals in `int`: a horizon past kMaxHorizon
-// is rejected up front instead of narrowing (2^32 narrowed to 0 intervals
-// and divided by zero), while kMaxHorizon itself still generates.
+// is rejected up front instead of narrowing (2^32 would narrow to 0
+// intervals and divide by zero), while kMaxHorizon itself still generates.
 TEST(ProfileSourceRegistry, HorizonAboveTheBoundIsRejected) {
   for (const char* spec : {"S1", "sine:period=12", "constant:level=0.5"}) {
     try {

@@ -251,7 +251,7 @@ TEST(SolverApi, OptionsBagRejectsPartialNumbers) {
   EXPECT_NE(messageOf([&] { (void)options.getDouble("alpha", 0.0); })
                 .find("solver option \"alpha\": \"0.5y\" is not a number"),
             std::string::npos);
-  // A NaN time limit used to mean "no limit"; non-finite values are
+  // A NaN time limit would silently mean no limit: non-finite values are
   // rejected like any other malformed number.
   for (const std::string value : {"inf", "-inf", "nan", "1e999"}) {
     options.set("time-limit-sec", value);

@@ -149,8 +149,8 @@ TEST(Cli, RejectsMalformedAndOutOfRangeNumbers) {
   EXPECT_THROW(args.getDouble("ratio", 0.0), UsageError);
   EXPECT_THROW(args.getInt("count", 0), UsageError);
   EXPECT_THROW(args.getInt("big", 0), UsageError);
-  // Non-finite numbers pass no flag: `--deadline-factor=inf` used to clear
-  // the >= 1 check and `--bnb-time-limit=nan` meant no limit at all.
+  // Non-finite numbers pass no flag: `inf` would clear a `>= 1` check and
+  // a NaN time limit would mean no limit at all.
   for (const std::string value : {"inf", "-inf", "nan", "1e999"}) {
     const std::string arg = "--factor=" + value;
     const char* nonFinite[] = {"prog", arg.c_str()};
