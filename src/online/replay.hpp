@@ -131,8 +131,9 @@ public:
   /// Solves the plan against `forecast` on `context` — which must describe
   /// (instance.gc, forecast, instance.deadline), as `Solver::solve` checks
   /// — or on a context of its own. A solve that throws (unknown solver,
-  /// capability mismatch) or returns an infeasible plan is recorded in
-  /// `error()`, not thrown.
+  /// capability mismatch) or returns an infeasible plan, and an input out
+  /// of range (profiles not covering the deadline, runtime noise outside
+  /// [0, 1)), is recorded in `error()`, not thrown.
   ReplayPlan(const Instance& instance, const PowerProfile& forecast,
              const PowerProfile& actual, const OnlineOptions& options,
              const SolveContext* context = nullptr);
@@ -258,9 +259,9 @@ private:
 /// `examples/online_replay`). Every policy is resolved first, so an
 /// unknown spec throws PreconditionError before any solve; then one
 /// `ReplayPlan` is built and one `ReplayEngine` per policy runs on it.
-/// When the solver cannot produce a feasible plan, each policy gets a
-/// `ran == false` row carrying the error. `context` is forwarded to the
-/// plan (see `ReplayPlan`).
+/// When the plan cannot be built (the solve throws or is infeasible, or an
+/// input is out of range), each policy gets a `ran == false` row carrying
+/// the error. `context` is forwarded to the plan (see `ReplayPlan`).
 std::vector<OnlineResult> replayOnline(
     const Instance& instance, const PowerProfile& forecast,
     const PowerProfile& actual, const OnlineOptions& options,
